@@ -20,6 +20,8 @@ let default_seed = 1
 (* Set-up is repeated and its median reported, so set-up time is steady
    enough to bound. *)
 let setup_reps = 5
+let setup_budget_s = 1.
+let setup_max_reps = 200
 
 type workload = {
   name : string;
@@ -91,41 +93,47 @@ let tail ~beyond xs =
 type setup = {
   topo : Topology.t;
   specs : (int * Scenario.spec) list;
-  generate_s : float;  (** medians over [setup_reps] *)
-  sample_s : float;
-  setup_s : float;
+  times : (int * int) list;  (** (generate, sample) ns per repetition *)
 }
 
-(* The topology is the default seed's for every run: a new graph per seed
-   moves the sweep's cost by more than any bound could absorb, so the seed
-   varies the sampled scenarios and the per-job seeds only. *)
-let setup (w : workload) ~seed =
-  let rec rep k acc =
-    let t0 = now_ns () in
-    let topo =
-      Topo_gen.generate (Topo_gen.default_params ~seed:default_seed ~n:w.n ())
-    in
-    let t1 = now_ns () in
-    let st = Random.State.make [| seed |] in
-    let specs = List.init w.instances (fun i -> (i, w.sample st topo)) in
-    let t2 = now_ns () in
-    (match acc with
-    | (_, specs0, _) :: _ when specs0 <> specs ->
-      failwith "set-up is not deterministic"
-    | _ -> ());
-    let acc = (topo, specs, (t1 - t0, t2 - t1)) :: acc in
-    if k > 1 then rep (k - 1) acc else acc
+(* The topology, the scenarios and the per-job seeds are the default
+   seed's for every run: a new graph, new scenarios or new job seeds move
+   a sweep's cost (churn's event count, a destination's cone, the number of
+   MRAI rounds a job waits through) by more than any bound could absorb.
+   [--seed] draws the order a sweep runs its jobs in, see [job_order]. *)
+let setup_once (w : workload) =
+  let t0 = now_ns () in
+  let topo =
+    Topo_gen.generate (Topo_gen.default_params ~seed:default_seed ~n:w.n ())
   in
-  let reps = rep setup_reps [] in
-  let topo, specs, _ = List.hd reps in
-  let med f = Stat.median (List.map (fun (_, _, t) -> secs (f t)) reps) in
-  {
-    topo;
-    specs;
-    generate_s = med fst;
-    sample_s = med snd;
-    setup_s = med (fun (g, s) -> g + s);
-  }
+  let t1 = now_ns () in
+  let st = Random.State.make [| default_seed |] in
+  let specs = List.init w.instances (fun i -> (i, w.sample st topo)) in
+  let t2 = now_ns () in
+  { topo; specs; times = [ (t1 - t0, t2 - t1) ] }
+
+(* The other set-up repetitions, timed after the sweeps so that their
+   graphs never raise the sweeps' peak heap; each is dropped once its
+   scenarios are compared with the first's. Set-up repeats at least
+   [setup_reps] times and until [setup_budget_s] is spent, at most
+   [setup_max_reps] times. *)
+let repeat_setup w s =
+  let budget = int_of_float (setup_budget_s *. 1e9) in
+  let rec rep k spent acc =
+    if k >= setup_max_reps || (k >= setup_reps && spent >= budget) then acc
+    else begin
+      let s' = setup_once w in
+      if s'.specs <> s.specs then failwith "set-up is not deterministic";
+      let g, m = List.hd s'.times in
+      rep (k + 1) (spent + g + m) ((g, m) :: acc)
+    end
+  in
+  let g, m = List.hd s.times in
+  rep 1 (g + m) s.times
+
+let setup_medians times =
+  let med f = Stat.median (List.map (fun t -> secs (f t)) times) in
+  (med fst, med snd, med (fun (g, s) -> g + s), List.length times)
 
 (* --- jobs ------------------------------------------------------------------ *)
 
@@ -152,7 +160,7 @@ type job = {
   spec : Scenario.spec;
 }
 
-(* Protocol-major, seeded [seed + instance]: the order and seeds of
+(* Protocol-major, seeded [default_seed + instance]: the order and seeds of
    [Experiment.failure_bars_stats]. *)
 let make_jobs specs =
   List.concat_map
@@ -171,11 +179,34 @@ type run = {
   job_events : int;
 }
 
-let run_untraced ~seed topo job =
+let job_seed job = default_seed + job.instance
+
+(* The order a sweep runs its jobs in: a permutation drawn from [--seed].
+   Jobs are independent, so their results do not depend on it; the
+   [Runner] state a job meets (heap, caches) does. *)
+let job_order ~seed n =
+  let st = Random.State.make [| seed |] in
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* [f] applied to every job in [order]; results in job order. *)
+let in_order order jobs f =
+  let jobs = Array.of_list jobs in
+  let out = Array.make (Array.length jobs) None in
+  Array.iter (fun k -> out.(k) <- Some (f jobs.(k))) order;
+  List.map Option.get (Array.to_list out)
+
+let run_untraced topo job =
   let t0 = now_ns () in
   let outcome =
     match
-      Runner.run_engine ~seed:(seed + job.instance) ~mrai_base ~interval
+      Runner.run_engine ~seed:(job_seed job) ~mrai_base ~interval
         job.engine topo job.spec
     with
     | r -> Ok r
@@ -190,9 +221,9 @@ let run_untraced ~seed topo job =
 
 type sweep = { runs : run list; wall_ns : int }
 
-let sweep ~seed topo jobs =
+let sweep ~order topo jobs =
   let t0 = now_ns () in
-  let runs = List.map (run_untraced ~seed topo) jobs in
+  let runs = in_order order jobs (run_untraced topo) in
   { runs; wall_ns = now_ns () - t0 }
 
 (* --- output checks ----------------------------------------------------- *)
@@ -212,8 +243,8 @@ let canonical (r : Runner.result) =
 
 let digest r = Digest.to_hex (Digest.string (canonical r))
 
-(* Pinned outputs of the default seed: lines "<workload> <job> <digest>"
-   and "<workload> bars <json>"; '#' starts a comment. *)
+(* Pinned outputs, the same for every seed: lines "<workload> <job>
+   <digest>" and "<workload> bars <json>"; '#' starts a comment. *)
 let pins workload =
   List.filter_map
     (fun line ->
@@ -223,15 +254,15 @@ let pins workload =
       | _ -> None)
     (String.split_on_char '\n' Pins.text)
 
-(* Every run, whatever the seed, must converge and keep its counters
-   consistent with its message totals. *)
+(* Every run must converge and keep its counters consistent with its
+   message totals. *)
 let sane (r : Runner.result) =
   Sim.equal_verdict r.verdict Sim.Converged
   && Counters.non_negative r.counters
   && Counters.messages r.counters = r.messages_initial + r.messages_event
 
-(* Check one job of an untraced sweep against the invariants, its pin (on
-   the default seed) and the same job of the run's first sweep. *)
+(* Check one job of an untraced sweep against the invariants, its pin and
+   the same job of the run's first sweep. *)
 let check_job ~pinned ~reference k job run =
   match run.outcome with
   | Error e ->
@@ -308,8 +339,9 @@ type layers = {
   check : span;
   create : span;
   converge : span;
-  event : span;  (** injection + monitor, probes included *)
+  event : span;  (** injection + monitor, probes and harness included *)
   probe : span;
+  harness : span;  (** this pass's own work inside the probe closure *)
   probe_times : samples;
   mutable probes_changed : int;
   mutable converge_events : int;
@@ -327,6 +359,7 @@ let layers () =
     converge = span ();
     event = span ();
     probe = span ();
+    harness = span ();
     probe_times = { data = Array.make 4096 0; len = 0 };
     probes_changed = 0;
     converge_events = 0;
@@ -350,8 +383,8 @@ let rec inject net sim = function
 
 (* One job through the public calls [Runner.run_engine] composes, each
    wrapped in a span; returns the [Runner.result] it would have built. *)
-let run_traced l ~seed topo job =
-  let seed = seed + job.instance and spec = job.spec in
+let run_traced l topo job =
+  let seed = job_seed job and spec = job.spec in
   let detect_delay = Option.value spec.detect_delay ~default:0. in
   let report =
     timed l.check (fun () ->
@@ -391,16 +424,20 @@ let run_traced l ~seed topo job =
     let w0 = Gc.minor_words () in
     let t0 = now_ns () in
     let statuses = Engine.probe net in
-    let dt = now_ns () - t0 in
-    l.probe.ns <- l.probe.ns + dt;
-    l.probe.words <- l.probe.words +. (Gc.minor_words () -. w0);
+    let t1 = now_ns () in
+    let w1 = Gc.minor_words () in
+    l.probe.ns <- l.probe.ns + (t1 - t0);
+    l.probe.words <- l.probe.words +. (w1 -. w0);
     l.probe.calls <- l.probe.calls + 1;
-    push l.probe_times dt;
+    push l.probe_times (t1 - t0);
     if Array.length !last = 0 then last := Array.copy statuses
     else if not (Array.for_all2 Fwd_walk.equal_status statuses !last) then begin
       l.probes_changed <- l.probes_changed + 1;
       Array.blit statuses 0 !last 0 (Array.length statuses)
     end;
+    (* the bookkeeping above is the harness's, not the event layer's *)
+    l.harness.ns <- l.harness.ns + (now_ns () - t1);
+    l.harness.words <- l.harness.words +. (Gc.minor_words () -. w1);
     statuses
   in
   let outcome, verdict =
@@ -437,26 +474,32 @@ let run_traced l ~seed topo job =
 
 (* Drive every job through [run_traced] and compare each result with the
    untraced [Runner.run_engine] result of the same job. *)
-let traced_pass ~seed topo jobs untraced =
+let traced_pass ~order topo jobs untraced =
   let l = layers () in
   let t0 = now_ns () in
+  let results =
+    in_order order jobs (fun job ->
+        match run_traced l topo job with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e))
+  in
+  let traced_ns = now_ns () - t0 in
   let failed =
     List.fold_left2
-      (fun failed job run ->
-        match run_traced l ~seed topo job with
-        | r -> (
-          match run.outcome with
-          | Ok r0 when r0 = r -> failed
-          | _ ->
-            fail "%s: traced pass differs from Runner: %s" (label job)
-              (canonical r);
-            failed + 1)
-        | exception e ->
-          fail "%s: traced pass raised %s" (label job) (Printexc.to_string e);
+      (fun failed job (traced, run) ->
+        match (traced, run.outcome) with
+        | Ok r, Ok r0 when r0 = r -> failed
+        | Ok r, _ ->
+          fail "%s: traced pass differs from Runner: %s" (label job)
+            (canonical r);
+          failed + 1
+        | Error e, _ ->
+          fail "%s: traced pass raised %s" (label job) e;
           failed + 1)
-      0 jobs untraced.runs
+      0 jobs
+      (List.combine results untraced.runs)
   in
-  (l, now_ns () - t0, failed)
+  (l, traced_ns, failed)
 
 (* --- reporting ------------------------------------------------------------ *)
 
@@ -487,20 +530,25 @@ let median_of f sweeps = Stat.median (List.map f sweeps)
 
 let job_times s = List.map (fun r -> float_of_int r.job_ns) s.runs
 
-let end_to_end ~setup sweeps =
+(* Read before the repeated set-ups, whose graphs would raise it. *)
+let peak_heap_mb () =
+  float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8))
+  /. 1048576.
+
+let end_to_end ~setup ~heap_mb sweeps =
   let first = List.hd sweeps in
   let events =
     List.fold_left (fun acc r -> acc + r.job_events) 0 first.runs
   in
   let wall_s = median_of (fun s -> secs s.wall_ns) sweeps in
   let _, pct, count = tail ~beyond:10 (job_times first) in
-  let heap_mb =
-    float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8))
-    /. 1048576.
-  in
+  let _, _, setup_s, reps = setup in
   [
     metric "wall_s" "s" wall_s
-      ~base:(Printf.sprintf "median of %d sweeps" (List.length sweeps));
+      ~base:
+        (Printf.sprintf "median of %d sweeps: %s" (List.length sweeps)
+           (String.concat " "
+              (List.map (fun s -> Printf.sprintf "%.3f" (secs s.wall_ns)) sweeps)));
     metric "run_p50_ms" "ms"
       (median_of (fun s -> Stat.median (job_times s) *. 1e-6) sweeps)
       ~base:(Printf.sprintf "%d jobs" count);
@@ -514,15 +562,18 @@ let end_to_end ~setup sweeps =
     metric "sim_events_per_s" "events/s"
       (float_of_int events /. wall_s)
       ~base:(Printf.sprintf "%d events per sweep" events);
-    metric "setup_s" "s" setup.setup_s
-      ~base:(Printf.sprintf "median of %d set-ups" setup_reps);
+    metric "setup_s" "s" setup_s
+      ~base:(Printf.sprintf "median of %d set-ups" reps);
     metric "peak_heap_mb" "MB" heap_mb ~base:"Gc top_heap_words";
   ]
 
 let per_layer ~setup ~n ~untraced_ns ~gc (l, traced_ns, _) =
   let s ns = secs ns in
-  let event_ns = l.event.ns - l.probe.ns in
-  let busy = l.check.ns + l.create.ns + l.converge.ns + l.event.ns in
+  let generate_s, sample_s, _, reps = setup in
+  let event_ns = l.event.ns - l.probe.ns - l.harness.ns in
+  let busy =
+    l.check.ns + l.create.ns + l.converge.ns + l.event.ns - l.harness.ns
+  in
   let probes = l.probe.calls in
   let times = to_floats l.probe_times in
   let p50 = if probes = 0 then 0. else Stat.median times in
@@ -532,10 +583,10 @@ let per_layer ~setup ~n ~untraced_ns ~gc (l, traced_ns, _) =
   let minor, majors = gc in
   let f = float_of_int in
   [
-    metric "topo_gen.generate_s" "s" setup.generate_s
-      ~base:(Printf.sprintf "median of %d" setup_reps);
-    metric "scenario.sample_s" "s" setup.sample_s
-      ~base:(Printf.sprintf "median of %d" setup_reps);
+    metric "topo_gen.generate_s" "s" generate_s
+      ~base:(Printf.sprintf "median of %d" reps);
+    metric "scenario.sample_s" "s" sample_s
+      ~base:(Printf.sprintf "median of %d" reps);
     metric "staticcheck.busy_s" "s" (s l.check.ns);
     metric "staticcheck.calls" "count" (f l.check.calls);
     metric "engine.create.busy_s" "s" (s l.create.ns);
@@ -549,7 +600,8 @@ let per_layer ~setup ~n ~untraced_ns ~gc (l, traced_ns, _) =
     metric "converge.us_per_event" "us"
       (ratio (f l.converge.ns *. 1e-3) (f l.converge_events));
     metric "converge.minor_mwords" "Mwords" (l.converge.words *. 1e-6);
-    metric "event.busy_s" "s" (s event_ns) ~base:"probe time excluded";
+    metric "event.busy_s" "s" (s event_ns)
+      ~base:"probe and harness time excluded";
     metric "event.events" "count" (f l.event_events);
     metric "event.messages" "count" (f l.event_messages);
     metric "event.mrai_deferrals" "count" (f l.deferrals);
@@ -557,7 +609,7 @@ let per_layer ~setup ~n ~untraced_ns ~gc (l, traced_ns, _) =
     metric "event.us_per_event" "us"
       (ratio (f event_ns *. 1e-3) (f l.event_events));
     metric "event.minor_mwords" "Mwords"
-      ((l.event.words -. l.probe.words) *. 1e-6);
+      ((l.event.words -. l.probe.words -. l.harness.words) *. 1e-6);
     metric "probe.calls" "count" (f probes);
     metric "probe.busy_s" "s" (s l.probe.ns);
     metric "probe.p50_us" "us" (p50 *. 1e-3)
@@ -582,8 +634,8 @@ let per_layer ~setup ~n ~untraced_ns ~gc (l, traced_ns, _) =
     metric "trace.overhead_frac" "ratio"
       ((f traced_ns /. f untraced_ns) -. 1.)
       ~base:
-        (Printf.sprintf "%.3f s traced / %.3f s untraced" (s traced_ns)
-           (s untraced_ns));
+        (Printf.sprintf "%.3f s traced / %.3f s untraced; %.3f s harness"
+           (s traced_ns) (s untraced_ns) (s l.harness.ns));
     metric "trace.coverage" "ratio"
       (ratio (f busy) (f traced_ns))
       ~base:
@@ -639,12 +691,13 @@ let () =
     Sys.ocaml_version Build_info.profile
     (Domain.recommended_domain_count ())
     Sys.word_size;
-  let setup = setup w ~seed in
+  let setup = setup_once w in
   let jobs = make_jobs setup.specs in
-  let pinned = if seed = default_seed then pins w.name else [] in
+  let pinned = pins w.name in
+  let order = job_order ~seed (List.length jobs) in
   Gc.compact ();
   let gc0 = Gc.quick_stat () in
-  let first = sweep ~seed setup.topo jobs in
+  let first = sweep ~order setup.topo jobs in
   let gc1 = Gc.quick_stat () in
   let failed = ref (check_sweep ~pinned ~reference:None jobs first) in
   let attempted = ref (List.length jobs) in
@@ -662,25 +715,27 @@ let () =
     if traced || elapsed + first.wall_ns > int_of_float (seconds *. 1e9) then
       List.rev acc
     else begin
-      let s = sweep ~seed setup.topo jobs in
+      let s = sweep ~order setup.topo jobs in
       attempted := !attempted + List.length jobs;
       failed := !failed + check_sweep ~pinned ~reference:(Some first) jobs s;
       more (s :: acc) (elapsed + s.wall_ns)
     end
   in
   let sweeps = more [ first ] first.wall_ns in
-  let e2e = end_to_end ~setup sweeps in
+  let heap_mb = peak_heap_mb () in
+  let setup_s = setup_medians (repeat_setup w setup) in
+  let e2e = end_to_end ~setup:setup_s ~heap_mb sweeps in
   List.iter print_metric e2e;
   let metrics =
     if not traced then e2e
     else begin
       let ((_, _, traced_failed) as pass) =
-        traced_pass ~seed setup.topo jobs first
+        traced_pass ~order setup.topo jobs first
       in
       attempted := !attempted + List.length jobs;
       failed := !failed + traced_failed;
       let layer =
-        per_layer ~setup ~n:w.n ~untraced_ns:first.wall_ns
+        per_layer ~setup:setup_s ~n:w.n ~untraced_ns:first.wall_ns
           ~gc:
             ( gc1.minor_words -. gc0.minor_words,
               gc1.major_collections - gc0.major_collections )
