@@ -649,8 +649,11 @@ let micro cfg =
     let net = Bgp_net.create sim t ~dest () in
     Bgp_net.start net;
     Sim.run sim;
+    (* invalidate the probe cache first, so every run walks *)
     Test.make ~name:"forwarding_walk_all_ases"
-      (Staged.stage (fun () -> ignore (Bgp_net.walk_all net)))
+      (Staged.stage (fun () ->
+           Bgp_net.touch_fwd net;
+           ignore (Bgp_net.walk_all net)))
   in
   let benchmark test =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

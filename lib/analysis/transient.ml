@@ -21,38 +21,46 @@ let run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe =
   let troubled = Array.make n false in
   let prev = ref first in
   let last_status_change = ref (Sim.now sim) in
-  let note statuses =
+  let mark_troubled statuses =
     Array.iteri
       (fun v s ->
         if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
           troubled.(v) <- true)
-      statuses;
-    (* change detection: with an observer, report each AS whose status
-       moved since the previous checkpoint (the exact per-AS deltas the
-       aggregate below is computed from); without one, keep the historical
-       short-circuiting comparison *)
-    (match on_status with
-    | None ->
-      if not (Array.for_all2 Fwd_walk.equal_status statuses !prev) then
-        last_status_change := Sim.now sim
-    | Some f ->
-      let any = ref false in
-      Array.iteri
-        (fun v s ->
-          if not (Fwd_walk.equal_status s !prev.(v)) then begin
-            any := true;
-            f ~changed:true v s
-          end)
-        statuses;
-      if !any then last_status_change := Sim.now sim);
-    prev := statuses
+      statuses
+  in
+  (* A probe that returns the previous array itself (an engine's cached
+     walk: probe results are never mutated) changed nothing, and its
+     troubled ASes are already marked. *)
+  let note statuses =
+    if statuses != !prev then begin
+      mark_troubled statuses;
+      (* change detection: with an observer, report each AS whose status
+         moved since the previous checkpoint (the exact per-AS deltas the
+         aggregate below is computed from); without one, keep the
+         historical short-circuiting comparison *)
+      (match on_status with
+      | None ->
+        if not (Array.for_all2 Fwd_walk.equal_status statuses !prev) then
+          last_status_change := Sim.now sim
+      | Some f ->
+        let any = ref false in
+        Array.iteri
+          (fun v s ->
+            if not (Fwd_walk.equal_status s !prev.(v)) then begin
+              any := true;
+              f ~changed:true v s
+            end)
+          statuses;
+        if !any then last_status_change := Sim.now sim);
+      prev := statuses
+    end
   in
   (* baseline snapshot: every AS's status at the observation start, before
      any checkpoint — reported unchanged so observers can seed their state *)
   (match on_status with
   | Some f -> Array.iteri (fun v s -> f ~changed:false v s) first
   | None -> ());
-  note first;
+  mark_troubled first;
   let checkpoints = ref 1 in
   let events_budget = ref max_events in
   let verdict = ref Sim.Converged in
@@ -80,12 +88,12 @@ let run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe =
      report its deltas as unchanged corrections so observers still see the
      end state of every AS *)
   (match on_status with
-  | Some f ->
+  | Some f when final != !prev ->
     Array.iteri
       (fun v s ->
         if not (Fwd_walk.equal_status s !prev.(v)) then f ~changed:false v s)
       final
-  | None -> ());
+  | Some _ | None -> ());
   let transient =
     Array.mapi
       (fun v bad -> bad && Fwd_walk.equal_status final.(v) Fwd_walk.Delivered)

@@ -37,7 +37,11 @@ val run :
     every [interval] seconds of virtual time (default 0.02 s, matching the paper's 10-20 ms message delays so transient windows are not missed; probes are skipped while no events fire, so quiet MRAI gaps cost nothing) until the
     event queue drains, then probe one final time. [max_events] (default
     50 million) guards against non-termination and raises [Failure] when
-    exceeded with events still pending. *)
+    exceeded with events still pending. The monitor keeps the previous
+    probe's array, so [probe] must never mutate an array it returned; when
+    it returns that same array again (an engine's cached walk,
+    {!Engine.probe}) the checkpoint is taken as unchanged without a
+    per-AS comparison. *)
 
 val run_guarded :
   Sim.t ->

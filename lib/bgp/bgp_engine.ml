@@ -17,6 +17,7 @@ let engine : (module Engine.S) =
     let deny_export = Bgp_net.deny_export
     let allow_export = Bgp_net.allow_export
     let probe = Bgp_net.walk_all
+    let touch_fwd = Bgp_net.touch_fwd
     let message_count = Bgp_net.message_count
     let last_change = Bgp_net.last_change
     let counters = Bgp_net.counters

@@ -190,27 +190,26 @@ let to_table t : Static_route.table =
         Some { Static_route.as_path = b.as_path; cls = b.cls })
     t.routers
 
-let walk_all t =
+(* One packet state; a step returns the next hop itself as its code. *)
+let walk_fresh t =
   let links = Session_core.links t.core in
-  let step v () =
-    if not (Link_state.node_up links v) then `Drop
+  let step v _ =
+    if not (Link_state.node_up links v) then Fwd_walk.drop
     else
       match t.routers.(v).best with
-      | None -> `Drop
-      | Some b -> begin
-        match Route.learned_from b with
-        | None -> `Drop (* origin route away from dest: cannot happen *)
-        | Some nh ->
-          if Link_state.link_up links v nh then `Forward (nh, ()) else `Drop
-      end
+      | Some { Route.as_path = nh :: _; _ } when Link_state.link_up links v nh
+        ->
+        nh
+      | Some _ | None -> Fwd_walk.drop
   in
   Fwd_walk.walk_all
     ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest
-    ~start:(fun _ -> ())
+    ~dest:t.dest ~num_states:1
+    ~start:(fun _ -> 0)
     ~step
-    ~state_id:(fun () -> 0)
-    ~num_states:1
+
+let walk_all t = Session_core.cached_walk t.core walk_fresh t
+let touch_fwd t = Session_core.touch_fwd t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

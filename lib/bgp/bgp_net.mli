@@ -85,7 +85,13 @@ val to_table : t -> Static_route.table
 val walk_all : t -> Fwd_walk.status array
 (** Forwarding-plane status of every AS right now: each AS forwards along
     its current best route; a hop over a failed link or into a failed node
-    drops the packet. *)
+    drops the packet. The result is cached until the next forwarding
+    change ({!Session_core.cached_walk}): it may be the very array an
+    earlier call returned, and must not be mutated. *)
+
+val touch_fwd : t -> unit
+(** Invalidate the cached walk, so the next {!walk_all} walks afresh (see
+    {!Session_core.touch_fwd}). *)
 
 val message_count : t -> int
 (** Total update messages (announcements + withdrawals) sent so far. *)

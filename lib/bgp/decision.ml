@@ -5,10 +5,11 @@ let better (a : Route.t) (b : Route.t) =
     let la = Route.length a and lb = Route.length b in
     if la <> lb then la < lb
     else
-      match (Route.learned_from a, Route.learned_from b) with
-      | None, _ -> true
-      | Some _, None -> false
-      | Some x, Some y -> x < y
+      (* lowest next hop; the origin's own route (empty path) wins *)
+      match (a.as_path, b.as_path) with
+      | [], _ -> true
+      | _ :: _, [] -> false
+      | x :: _, y :: _ -> x < y
 
 let select = function
   | [] -> None

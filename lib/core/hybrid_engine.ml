@@ -18,6 +18,7 @@ let make ?(name = "STAMP-BGP hybrid") ~deployed () : (module Engine.S) =
     let deny_export = Hybrid_net.deny_export
     let allow_export = Hybrid_net.allow_export
     let probe = Hybrid_net.walk_all
+    let touch_fwd = Hybrid_net.touch_fwd
     let message_count = Hybrid_net.message_count
     let last_change = Hybrid_net.last_change
     let counters = Hybrid_net.counters

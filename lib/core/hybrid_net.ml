@@ -51,9 +51,9 @@ let advertise_all t r =
 
 (* The RIB alternate most downhill-disjoint from the best route. *)
 let recompute_backup t r =
-  if r.upgraded then
-    r.backup <-
-      (match r.best with
+  if r.upgraded then begin
+    let backup =
+      match r.best with
       | None -> None
       | Some best -> begin
         let downhill path =
@@ -80,7 +80,13 @@ let recompute_backup t r =
                   Some alt
                 else acc)
           r.adj_rib_in None
-      end)
+      end
+    in
+    if backup <> r.backup then begin
+      r.backup <- backup;
+      Session_core.touch_fwd t.core
+    end
+  end
 
 let recompute t r =
   let best' =
@@ -218,51 +224,46 @@ let has_disjoint_backup t v =
     Valley.downhill_disjoint t.topo (v :: b.Route.as_path) (v :: a.Route.as_path)
   | _ -> false
 
-(* packet states: false = primary (never re-coloured), true = switched *)
-let walk_all t =
+(* packet states: 0 = primary (never re-coloured), 1 = switched *)
+let walk_fresh t =
   let links = Session_core.links t.core in
+  (* next hop of [route] at [v] over a live link, or -1 *)
   let usable v (route : Route.t option) =
     match route with
-    | Some r -> begin
-      match Route.learned_from r with
-      | Some nh when Link_state.link_up links v nh -> Some nh
-      | Some _ | None -> None
-    end
-    | None -> None
+    | Some { Route.as_path = nh :: _; _ } when Link_state.link_up links v nh
+      ->
+      nh
+    | Some _ | None -> -1
   in
-  let step v switched =
-    if not (Link_state.node_up links v) then `Drop
+  let step v s =
+    if not (Link_state.node_up links v) then Fwd_walk.drop
     else begin
       let r = t.routers.(v) in
-      if not switched then
-        match usable v r.best with
-        | Some nh -> `Forward (nh, false)
-        | None -> begin
-          (* primary missing or physically broken: an upgraded AS
-             re-colours the packet onto its blue table *)
-          match (r.upgraded, usable v r.backup) with
-          | true, Some nh -> `Forward (nh, true)
-          | (true | false), _ -> `Drop
-        end
-      else
-        (* a re-coloured packet follows best routes from here on: the
-           backup was an advertised route of the deflection neighbour, so
-           its hops are exactly the downstream best chain. Following other
-           ASes' backups instead would compose unrelated local picks (two
-           neighbouring backups can point at each other). One deflection
-           per packet, as in Section 5. *)
-        match usable v r.best with
-        | Some nh -> `Forward (nh, true)
-        | None -> `Drop
+      let nh = usable v r.best in
+      (* a packet follows best routes, keeping its state. A re-coloured
+         one does too: the backup was an advertised route of the
+         deflection neighbour, so its hops are exactly the downstream best
+         chain. Following other ASes' backups instead would compose
+         unrelated local picks (two neighbouring backups can point at each
+         other). One deflection per packet, as in Section 5. *)
+      if nh >= 0 then (2 * nh) + s
+      else if s = 0 && r.upgraded then begin
+        (* primary missing or physically broken: an upgraded AS
+           re-colours the packet onto its blue table *)
+        let alt = usable v r.backup in
+        if alt >= 0 then (2 * alt) + 1 else Fwd_walk.drop
+      end
+      else Fwd_walk.drop
     end
   in
   Fwd_walk.walk_all
     ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest
-    ~start:(fun _ -> false)
+    ~dest:t.dest ~num_states:2
+    ~start:(fun _ -> 0)
     ~step
-    ~state_id:(fun sw -> Bool.to_int sw)
-    ~num_states:2
+
+let walk_all t = Session_core.cached_walk t.core walk_fresh t
+let touch_fwd t = Session_core.touch_fwd t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

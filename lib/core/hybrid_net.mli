@@ -88,7 +88,12 @@ val walk_all : t -> Fwd_walk.status array
     the packet follows best routes again (the backup is an advertised
     route of the deflection neighbour, so its hops are the downstream best
     chain; following other ASes' local backups would compose unrelated
-    picks and can loop). One re-colouring per packet, as in Section 5. *)
+    picks and can loop). One re-colouring per packet, as in Section 5.
+    Cached until the next forwarding change, like {!Bgp_net.walk_all}: the
+    array may be shared with earlier calls and must not be mutated. *)
+
+val touch_fwd : t -> unit
+(** Invalidate the cached walk (see {!Session_core.touch_fwd}). *)
 
 val message_count : t -> int
 val last_change : t -> float

@@ -23,6 +23,7 @@ let make ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
     let deny_export = Stamp_net.deny_export
     let allow_export = Stamp_net.allow_export
     let probe = Stamp_net.walk_all
+    let touch_fwd = Stamp_net.touch_fwd
     let message_count = Stamp_net.message_count
     let last_change = Stamp_net.last_change
     let counters = Stamp_net.counters

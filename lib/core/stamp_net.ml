@@ -193,6 +193,7 @@ let recompute t r color ~loss =
     in
     let was_unstable = p.unstable in
     p.best <- best';
+    (* also covers the [unstable] flip below: one forwarding-epoch bump *)
     Session_core.note_decision t.core ~node:r.v ~old_next ~new_next ~cause;
     if loss then begin
       p.unstable <- true;
@@ -415,61 +416,58 @@ let in_use t v =
 
 (* Colour-aware forwarding (Section 5): forward on the packet's colour;
    when that process's route is missing, broken or unstable, re-colour the
-   packet — at most once — and use the other process. *)
-let walk_all t =
+   packet — at most once — and use the other process. Packet state is
+   [2 * colour + switched], with colours as {!Color.to_int} (0 or 1). *)
+let walk_fresh t =
   let links = Session_core.links t.core in
-  let usable v color =
-    match best t color v with
-    | Some r -> begin
-      match Route.learned_from r with
-      | Some nh when Link_state.link_up links v nh -> Some nh
-      | Some _ | None -> None
-    end
-    | None -> None
+  (* next hop of process [c]'s best route at [v] over a live link, or -1 *)
+  let usable r v c =
+    match r.procs.(c).best with
+    | Some { route = { Route.as_path = nh :: _; _ }; _ }
+      when Link_state.link_up links v nh ->
+      nh
+    | Some _ | None -> -1
   in
-  let step v (color, switched) =
-    if not (Link_state.node_up links v) then `Drop
+  let forward nh c ~switched = (nh * 4) + (2 * c) + switched in
+  let step v s =
+    if not (Link_state.node_up links v) then Fwd_walk.drop
     else begin
-      let stable c =
-        match usable v c with
-        | Some nh when not (unstable t c v) -> Some nh
-        | Some _ | None -> None
-      in
-      if switched then
+      let r = t.routers.(v) in
+      let c = s / 2 in
+      let other = 1 - c in
+      let nh = usable r v c in
+      if s land 1 = 1 then
         (* the packet was already re-coloured once: stick to its colour *)
-        match usable v color with
-        | Some nh -> `Forward (nh, (color, true))
-        | None -> `Drop
-      else
-        match stable color with
-        | Some nh -> `Forward (nh, (color, false))
-        | None -> begin
-          match stable (Color.other color) with
-          | Some nh -> `Forward (nh, (Color.other color, true))
-          | None -> begin
-            (* both processes disturbed: any process that still has a
-               route can be used (Section 5.2) *)
-            match usable v color with
-            | Some nh -> `Forward (nh, (color, false))
-            | None -> begin
-              match usable v (Color.other color) with
-              | Some nh -> `Forward (nh, (Color.other color, true))
-              | None -> `Drop
-            end
-          end
-        end
+        if nh >= 0 then forward nh c ~switched:1 else Fwd_walk.drop
+      else if nh >= 0 && not r.procs.(c).unstable then
+        forward nh c ~switched:0
+      else begin
+        let nh' = usable r v other in
+        if nh' >= 0 && not r.procs.(other).unstable then
+          forward nh' other ~switched:1
+        (* both processes disturbed: any process that still has a route
+           can be used (Section 5.2) *)
+        else if nh >= 0 then forward nh c ~switched:0
+        else if nh' >= 0 then forward nh' other ~switched:1
+        else Fwd_walk.drop
+      end
     end
   in
+  (* the source's {!in_use} colour, Blue when it has no route *)
   let start v =
-    match in_use t v with
-    | Some c -> (c, false)
-    | None -> (Color.Blue, false)
+    let procs = t.routers.(v).procs in
+    match (procs.(Color.to_int Red).best, procs.(Color.to_int Blue).best) with
+    | Some _, None -> 2 * Color.to_int Red
+    | Some red, Some blue when Decision.better red.route blue.route ->
+      2 * Color.to_int Red
+    | Some _, Some _ | None, _ -> 2 * Color.to_int Blue
   in
   Fwd_walk.walk_all
     ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~start ~step
-    ~state_id:(fun (c, sw) -> (2 * Color.to_int c) + Bool.to_int sw)
-    ~num_states:4
+    ~dest:t.dest ~num_states:4 ~start ~step
+
+let walk_all t = Session_core.cached_walk t.core walk_fresh t
+let touch_fwd t = Session_core.touch_fwd t.core
 
 let announced t color v =
   Hashtbl.fold

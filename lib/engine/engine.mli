@@ -60,7 +60,13 @@ module type S = sig
   val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
 
   val probe : t -> Fwd_walk.status array
-  (** Forwarding-plane status of every AS right now. *)
+  (** Forwarding-plane status of every AS right now. Cached while the
+      engine's forwarding epoch stands ({!Session_core.cached_walk}): the
+      result may be the very array an earlier probe returned, and must
+      not be mutated. *)
+
+  val touch_fwd : t -> unit
+  (** Invalidate the cached probe, so the next {!probe} walks afresh. *)
 
   val message_count : t -> int
   val last_change : t -> float
@@ -85,6 +91,7 @@ val recover_node : instance -> Topology.vertex -> unit
 val deny_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val allow_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val probe : instance -> Fwd_walk.status array
+val touch_fwd : instance -> unit
 val message_count : instance -> int
 val last_change : instance -> float
 val counters : instance -> Counters.t

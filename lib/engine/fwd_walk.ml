@@ -12,41 +12,53 @@ let pp_status ppf s =
     | Looped -> "looped"
     | Blackholed -> "blackholed")
 
-type cell = Unknown | In_progress | Done of status
+let drop = -1
+let deliver = -2
 
-let walk_all ~n ~dest ~start ~step ~state_id ~num_states =
-  let memo = Array.make (n * num_states) Unknown in
-  let rec go v s =
-    if v = dest then Delivered
+(* Memo cell codes, one byte per (vertex, state) pair. *)
+let unknown = '\000'
+let in_progress = '\001'
+let c_delivered = '\002'
+let c_looped = '\003'
+let c_blackholed = '\004'
+
+let status_of_cell c =
+  if c = c_delivered then Delivered
+  else if c = c_looped then Looped
+  else Blackholed
+
+let walk_all ~n ~dest ~num_states ~start ~step =
+  if num_states < 1 then invalid_arg "Fwd_walk.walk_all: num_states < 1";
+  let cells = n * num_states in
+  let memo = Bytes.make cells unknown in
+  (* [idx] = vertex * num_states + state: the same encoding a step returns
+     for a forward, so the next cell is the step's code itself *)
+  let rec go idx =
+    let v = idx / num_states in
+    if v = dest then c_delivered
     else begin
-      let sid = state_id s in
-      assert (sid >= 0 && sid < num_states);
-      let idx = (v * num_states) + sid in
-      match memo.(idx) with
-      | Done st -> st
-      | In_progress -> Looped
-      | Unknown ->
-        memo.(idx) <- In_progress;
+      let c = Bytes.unsafe_get memo idx in
+      if c = unknown then begin
+        Bytes.unsafe_set memo idx in_progress;
+        let code = step v (idx - (v * num_states)) in
         let st =
-          match step v s with
-          | `Drop -> Blackholed
-          | `Deliver -> Delivered
-          | `Forward (u, s') -> go u s'
+          if code >= 0 then begin
+            if code >= cells then invalid_arg "Fwd_walk.walk_all: bad step code";
+            go code
+          end
+          else if code = drop then c_blackholed
+          else if code = deliver then c_delivered
+          else invalid_arg "Fwd_walk.walk_all: bad step code"
         in
-        memo.(idx) <- Done st;
+        Bytes.unsafe_set memo idx st;
         st
+      end
+      else if c = in_progress then c_looped
+      else c
     end
   in
-  Array.init n (fun v -> go v (start v))
-
-let walk_one ~dest ~start ~step ~src ~max_hops =
-  let rec go v s hops =
-    if v = dest then Delivered
-    else if hops > max_hops then Looped
-    else
-      match step v s with
-      | `Drop -> Blackholed
-      | `Deliver -> Delivered
-      | `Forward (u, s') -> go u s' (hops + 1)
-  in
-  go src start 0
+  Array.init n (fun v ->
+      let s = start v in
+      if s < 0 || s >= num_states then
+        invalid_arg "Fwd_walk.walk_all: bad start state";
+      status_of_cell (go ((v * num_states) + s)))

@@ -5,10 +5,13 @@
     AS at once, whether a packet would reach the destination, loop, or be
     dropped. Packet state captures protocol-specific headers (the packet's
     colour and whether it was already re-coloured for STAMP, the deflection
-    bit for R-BGP); plain BGP uses a single state.
+    bit for the hybrid); plain BGP uses a single state.
 
-    Cost is O(vertices × states) per call thanks to memoization, which is
-    what makes the checkpointed transient-problem monitor affordable. *)
+    States and steps are int-coded so a walk allocates nothing but its
+    byte memo and the result array: O(vertices × states) step calls and
+    one byte of memo per (vertex, state) pair. Engines cache the result
+    between forwarding changes ({!Session_core.cached_walk}), so a probe
+    that follows no such change costs nothing. *)
 
 type status =
   | Delivered  (** the packet reaches the destination *)
@@ -18,34 +21,26 @@ type status =
 val equal_status : status -> status -> bool
 val pp_status : Format.formatter -> status -> unit
 
+val drop : int
+(** Step code: the AS drops the packet. *)
+
+val deliver : int
+(** Step code: the packet reaches the destination from here (used for
+    pinned source-routed failover paths, whose intermediate hops don't
+    consult their own tables). *)
+
 val walk_all :
   n:int ->
   dest:Topology.vertex ->
-  start:(Topology.vertex -> 'state) ->
-  step:
-    (Topology.vertex ->
-    'state ->
-    [ `Forward of Topology.vertex * 'state | `Drop | `Deliver ]) ->
-  state_id:('state -> int) ->
   num_states:int ->
+  start:(Topology.vertex -> int) ->
+  step:(Topology.vertex -> int -> int) ->
   status array
-(** [walk_all ~n ~dest ~start ~step ~state_id ~num_states] walks from every
-    vertex. [state_id] must injectively map states to
-    [[0, num_states - 1]]. The destination is [Delivered] for every state
-    by definition. A step may also resolve the walk directly: [`Deliver]
-    asserts the packet reaches the destination from here (used for pinned
-    source-routed failover paths, whose intermediate hops don't consult
-    their own tables). *)
-
-val walk_one :
-  dest:Topology.vertex ->
-  start:'state ->
-  step:
-    (Topology.vertex ->
-    'state ->
-    [ `Forward of Topology.vertex * 'state | `Drop | `Deliver ]) ->
-  src:Topology.vertex ->
-  max_hops:int ->
-  status
-(** Walk a single packet without memoization (used by tests and examples to
-    trace individual paths). [Looped] is reported after [max_hops] hops. *)
+(** [walk_all ~n ~dest ~num_states ~start ~step] walks from every vertex
+    [v], starting in state [start v]. States are ints in
+    [[0, num_states - 1]]. [step v s] returns {!drop}, {!deliver}, or
+    [next * num_states + s'] to forward the packet to [next] in state
+    [s']. The destination is [Delivered] for every state by definition.
+    @raise Invalid_argument on [num_states < 1], a start state out of
+    range, or a step code that is neither {!drop}, {!deliver} nor a
+    (vertex, state) code. *)

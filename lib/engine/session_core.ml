@@ -6,9 +6,13 @@ type 'msg t = {
   counters : Counters.t;
   detect_delay : float;
   trace : Trace.sink;
-  chans : (Topology.vertex * Topology.vertex, 'msg Channel.t) Hashtbl.t;
-  mrais : (Topology.vertex * Topology.vertex * int, Mrai.t) Hashtbl.t;
+  procs : int;
+  chans : (int, 'msg Channel.t) Hashtbl.t;  (* keyed by [link_key] *)
+  mrais : (int, Mrai.t) Hashtbl.t;  (* keyed by [mrai_key] *)
   mutable last_change : float;
+  mutable fwd_epoch : int;
+  mutable walked_epoch : int;
+  mutable walked : Fwd_walk.status array;
   mutable handler : src:Topology.vertex -> dst:Topology.vertex -> 'msg -> unit;
 }
 
@@ -28,6 +32,11 @@ let trace_node core v kind =
       ~loc:(Trace.Node (Topology.asn core.topo v))
       kind
 
+(* Int keys for the per-directed-link tables: a lookup (one per message)
+   then neither allocates a tuple nor hashes one. *)
+let link_key core u v = (u * Topology.num_vertices core.topo) + v
+let mrai_key core u v proc = (link_key core u v * core.procs) + proc
+
 let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
     ?(detect_delay = 0.) ?(procs = 1) ?(trace = Trace.null) ~who sim topo =
   if detect_delay < 0. || Float.is_nan detect_delay then
@@ -42,9 +51,13 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       counters = Counters.make ();
       detect_delay;
       trace;
+      procs;
       chans = Hashtbl.create 64;
       mrais = Hashtbl.create 64;
       last_change = 0.;
+      fwd_epoch = 0;
+      walked_epoch = -1;
+      walked = [||];
       handler =
         (fun ~src:_ ~dst:_ _ ->
           invalid_arg (who ^ ": Session_core receive handler not installed"));
@@ -71,10 +84,10 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
                 core.counters.lost_to_resets + 1
             end
           in
-          Hashtbl.replace core.chans (u, v)
+          Hashtbl.replace core.chans (link_key core u v)
             (Channel.create sim ~delay_lo ~delay_hi ~deliver);
           for p = 0 to procs - 1 do
-            Hashtbl.replace core.mrais (u, v, p)
+            Hashtbl.replace core.mrais (mrai_key core u v p)
               (Mrai.create (Sim.rng sim) ~base:mrai_base ())
           done)
         (Topology.neighbors topo u))
@@ -89,14 +102,24 @@ let detect_delay core = core.detect_delay
 let link_up core u v = Link_state.link_up core.links u v
 let node_up core v = Link_state.node_up core.links v
 let last_change core = core.last_change
-let note_change core = core.last_change <- Sim.now core.sim
 let message_count core = Counters.messages core.counters
 let trace core = core.trace
 let trace_enabled core = Trace.enabled core.trace
 let emit_node core v kind = trace_node core v kind
 
+(* The forwarding epoch; the interface states which writes must bump it. *)
+let touch_fwd core = core.fwd_epoch <- core.fwd_epoch + 1
+
+let cached_walk core walk x =
+  if core.walked_epoch <> core.fwd_epoch then begin
+    core.walked <- walk x;
+    core.walked_epoch <- core.fwd_epoch
+  end;
+  core.walked
+
 let note_decision core ~node ~old_next ~new_next ~cause =
   core.last_change <- Sim.now core.sim;
+  touch_fwd core;
   if Trace.enabled core.trace then
     Trace.emit core.trace ~vtime:(Sim.now core.sim) ~engine:core.who
       ~loc:(Trace.Node (Topology.asn core.topo node))
@@ -112,7 +135,7 @@ let send core ~src ~dst ~kind msg =
   | `Announce ->
     core.counters.announcements <- core.counters.announcements + 1
   | `Withdraw -> core.counters.withdrawals <- core.counters.withdrawals + 1);
-  let chan = Hashtbl.find core.chans (src, dst) in
+  let chan = Hashtbl.find core.chans (link_key core src dst) in
   Channel.send chan msg;
   if Trace.enabled core.trace then
     trace_link core src dst
@@ -139,7 +162,7 @@ let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
       send core ~src ~dst ~kind:`Withdraw (withdraw ())
     | Some p, Some p' when p = p' -> ()
     | Some p, (Some _ | None) ->
-      let m = Hashtbl.find core.mrais (src, dst, proc) in
+      let m = Hashtbl.find core.mrais (mrai_key core src dst proc) in
       let now = Sim.now core.sim in
       if Mrai.ready m ~now then begin
         Mrai.note_sent m ~now;
@@ -171,20 +194,27 @@ let fail_link core u v ~react =
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
+  touch_fwd core;
   trace_link core u v Trace.Session_reset;
   if core.detect_delay = 0. then react ()
-  else Sim.schedule core.sim ~delay:core.detect_delay (fun _ -> react ())
+  else
+    Sim.schedule core.sim ~delay:core.detect_delay (fun _ ->
+        touch_fwd core;
+        react ())
 
 let recover_link core u v ~react =
   check_adjacent core ~op:"recover_link" u v;
   Link_state.recover_link core.links u v;
+  touch_fwd core;
   trace_link core u v Trace.Session_up;
   react ()
 
 let fail_node core v =
   Link_state.fail_node core.links v;
+  touch_fwd core;
   trace_node core v Trace.Session_reset
 
 let recover_node core v =
   Link_state.recover_node core.links v;
+  touch_fwd core;
   trace_node core v Trace.Session_up

@@ -125,9 +125,39 @@ val message_count : 'msg t -> int
 (** Updates sent so far (announcements + withdrawals). *)
 
 val last_change : 'msg t -> float
-val note_change : 'msg t -> unit
-(** Engines call this when any router's best route changes; {!last_change}
-    is then the convergence instant once the queue drains. *)
+(** Time of the most recent {!note_decision} (0. if none): the convergence
+    instant once the queue drains. *)
+
+(** {1 Forwarding epoch}
+
+    A probe walks every AS's forwarding chain; most probes follow slices
+    in which no forwarding input changed. The core keeps a counter, the
+    forwarding epoch, and the status array of the last walk: when the
+    epoch has not moved since, {!cached_walk} returns that array again
+    without walking.
+
+    Contract: every write that can change what an engine's forwarding
+    step (or start state) returns must bump the epoch. The core bumps it
+    itself in {!note_decision} (any best-route change, and with it STAMP's
+    [unstable] flips, which happen in the same step), in {!fail_link}
+    (both at the failure instant and when the delayed [react] runs),
+    {!recover_link}, {!fail_node} and {!recover_node}. Engines must call
+    {!touch_fwd} for any other forwarding input they keep: R-BGP's
+    failover RIB and withdrawn route, the hybrid's backup route. Writes to
+    the {!links} overlay go through this module only.
+
+    Invariant: an array returned by {!cached_walk} is shared with every
+    later probe of the same epoch, so nobody — engine, monitor or caller —
+    may mutate it in place. *)
+
+val touch_fwd : 'msg t -> unit
+(** Bump the forwarding epoch: the next {!cached_walk} walks afresh. *)
+
+val cached_walk :
+  'msg t -> ('a -> Fwd_walk.status array) -> 'a -> Fwd_walk.status array
+(** [cached_walk core walk x] is [walk x] when the forwarding epoch moved
+    since the last call (or on the first call), and otherwise the very
+    array that call returned. Only one array is retained per core. *)
 
 (** {1 Tracing} *)
 
@@ -141,10 +171,12 @@ val note_decision :
   new_next:Topology.vertex option ->
   cause:string ->
   unit
-(** {!note_change} plus a {!Trace.Decision} event at the router (next hops
-    are translated to ASN space; [None] = no route or the origin's own
-    route). The timestamp side effect is unconditional, so engines can call
-    this at every best-route change whether or not tracing is on. *)
+(** Record a best-route change: moves {!last_change}, bumps the
+    forwarding epoch ({!touch_fwd}) and emits a {!Trace.Decision} event at
+    the router (next hops are translated to ASN space; [None] = no route
+    or the origin's own route). The side effects other than the event are
+    unconditional, so engines call this at every best-route change whether
+    or not tracing is on. *)
 
 val emit_node : 'msg t -> Topology.vertex -> Trace.kind -> unit
 (** Emit an engine-specific event located at a router (ASN-translated),

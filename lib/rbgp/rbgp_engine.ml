@@ -17,6 +17,7 @@ let make ~rci:rci_enabled ~name:engine_name : (module Engine.S) =
     let deny_export = Rbgp_net.deny_export
     let allow_export = Rbgp_net.allow_export
     let probe = Rbgp_net.walk_all
+    let touch_fwd = Rbgp_net.touch_fwd
     let message_count = Rbgp_net.message_count
     let last_change = Rbgp_net.last_change
     let counters = Rbgp_net.counters

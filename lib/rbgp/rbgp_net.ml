@@ -161,6 +161,7 @@ let learn_cause t r cause =
         r.adj_rib_in []
     in
     List.iter (Hashtbl.remove r.adj_rib_in) stale_routes;
+    Session_core.touch_fwd t.core;
     purge r.failover_rib;
     (match r.withdrawn with
     | Some (w : Route.t) when path_hits_cause w.as_path cause ->
@@ -210,8 +211,11 @@ let receive t r ~from msg =
         Hashtbl.replace r.adj_rib_in from
           { Route.as_path = path; cls = rel_exn t r.v from }
     | Withdraw _ -> Hashtbl.remove r.adj_rib_in from
-    | Failover { path = None; _ } -> Hashtbl.remove r.failover_rib from
+    | Failover { path = None; _ } ->
+      Session_core.touch_fwd t.core;
+      Hashtbl.remove r.failover_rib from
     | Failover { path = Some p; _ } ->
+      Session_core.touch_fwd t.core;
       let stale =
         t.rci && List.exists (fun c -> path_hits_cause p c) r.known_causes
       in
@@ -252,6 +256,7 @@ let start t = recompute t t.routers.(t.dest)
 
 let drop_session t u v =
   let ru = t.routers.(u) and rv = t.routers.(v) in
+  Session_core.touch_fwd t.core;
   Hashtbl.remove ru.adj_rib_in v;
   Hashtbl.remove ru.rib_out v;
   Hashtbl.remove ru.failover_rib v;
@@ -380,62 +385,56 @@ let pinned_alive t path =
   in
   scan path
 
-let walk_all t =
+(* One packet state; a step returns the next hop itself as its code. *)
+let walk_fresh t =
   let links = Session_core.links t.core in
-  let step v () =
-    if not (Link_state.node_up links v) then `Drop
+  let hop v (route : Route.t option) =
+    match route with
+    | Some { Route.as_path = nh :: _; _ } when Link_state.link_up links v nh
+      ->
+      nh
+    | Some _ | None -> -1
+  in
+  let step v _ =
+    if not (Link_state.node_up links v) then Fwd_walk.drop
     else begin
-      let primary =
-        match t.routers.(v).best with
-        | Some b -> begin
-          match Route.learned_from b with
-          | Some nh when Link_state.link_up links v nh -> Some nh
-          | Some _ | None -> None
-        end
-        | None -> None
-      in
-      let stale_nh =
+      let r = t.routers.(v) in
+      let primary = hop v r.best in
+      if primary >= 0 then primary
+      else
         (* keep forwarding along the withdrawn route until an alternative
            or a root cause invalidates it *)
-        match t.routers.(v).withdrawn with
-        | Some w -> begin
-          match Route.learned_from w with
-          | Some nh when Link_state.link_up links v nh -> Some nh
-          | Some _ | None -> None
+        let stale = hop v r.withdrawn in
+        if stale >= 0 then stale
+        else begin
+          (* Deflect onto a stored failover path. The router picks the
+             lowest-numbered advertiser that is still reachable — it cannot
+             know whether the rest of the pinned path is alive. Under RCI,
+             stale failover paths were purged, so the pick is trustworthy;
+             without RCI the packet follows a possibly dead path and is
+             lost. *)
+          let from =
+            Hashtbl.fold
+              (fun from _ acc ->
+                if (acc < 0 || from < acc) && Link_state.link_up links v from
+                then from
+                else acc)
+              r.failover_rib (-1)
+          in
+          if from >= 0 && pinned_alive t (Hashtbl.find r.failover_rib from)
+          then Fwd_walk.deliver
+          else Fwd_walk.drop
         end
-        | None -> None
-      in
-      match (primary, stale_nh) with
-      | Some nh, _ | None, Some nh -> `Forward (nh, ())
-      | None, None -> begin
-        (* Deflect onto a stored failover path. The router picks the first
-           candidate whose advertiser is still reachable — it cannot know
-           whether the rest of the pinned path is alive. Under RCI, stale
-           failover paths were purged, so the pick is trustworthy; without
-           RCI the packet follows a possibly dead path and is lost. *)
-        let candidates =
-          Hashtbl.fold
-            (fun from p acc -> (from, p) :: acc)
-            t.routers.(v).failover_rib []
-          |> List.sort compare
-        in
-        match
-          List.find_opt
-            (fun (from, _) -> Link_state.link_up links v from)
-            candidates
-        with
-        | Some (_, p) -> if pinned_alive t p then `Deliver else `Drop
-        | None -> `Drop
-      end
     end
   in
   Fwd_walk.walk_all
     ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest
-    ~start:(fun _ -> ())
+    ~dest:t.dest ~num_states:1
+    ~start:(fun _ -> 0)
     ~step
-    ~state_id:(fun () -> 0)
-    ~num_states:1
+
+let walk_all t = Session_core.cached_walk t.core walk_fresh t
+let touch_fwd t = Session_core.touch_fwd t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

@@ -1,29 +1,36 @@
-type 'a cell = { time : float; seq : int; payload : 'a }
+(* Slots at or beyond [size] hold [Empty], never a cell: a popped event's
+   payload (a closure capturing engine state, in a simulation) must not
+   stay reachable from the heap. *)
+type 'a slot = Empty | Cell of { time : float; seq : int; payload : 'a }
 
 type 'a t = {
-  mutable data : 'a cell array;
+  mutable data : 'a slot array;
   mutable size : int;
   mutable next_seq : int;
 }
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
 
-let cell_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Earlier time first, then insertion order; [Empty] sorts last. *)
+let slot_lt a b =
+  match (a, b) with
+  | Cell a, Cell b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  | Cell _, Empty -> true
+  | Empty, (Cell _ | Empty) -> false
 
 let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin
-    let new_cap = max 16 (cap * 2) in
-    let data = Array.make new_cap t.data.(0) in
+    let data = Array.make (max 16 (cap * 2)) Empty in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end
 
 let push t ~time payload =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
-  let cell = { time; seq = t.next_seq; payload } in
+  let cell = Cell { time; seq = t.next_seq; payload } in
   t.next_seq <- t.next_seq + 1;
-  if Array.length t.data = 0 then t.data <- Array.make 16 cell else grow t;
+  grow t;
   (* sift up *)
   let i = ref t.size in
   t.size <- t.size + 1;
@@ -31,7 +38,7 @@ let push t ~time payload =
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if cell_lt t.data.(!i) t.data.(parent) then begin
+    if slot_lt t.data.(!i) t.data.(parent) then begin
       let tmp = t.data.(parent) in
       t.data.(parent) <- t.data.(!i);
       t.data.(!i) <- tmp;
@@ -40,21 +47,29 @@ let push t ~time payload =
     else continue := false
   done
 
+let root t = if t.size = 0 then Empty else t.data.(0)
+
 let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
+  match root t with
+  | Empty -> None
+  | Cell top ->
     t.size <- t.size - 1;
-    if t.size > 0 then begin
+    if t.size = 0 then
+      (* release the backing array: it may have grown large in a burst *)
+      t.data <- [||]
+    else begin
       t.data.(0) <- t.data.(t.size);
+      t.data.(t.size) <- Empty;
       (* sift down *)
       let i = ref 0 in
       let continue = ref true in
       while !continue do
         let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
         let smallest = ref !i in
-        if l < t.size && cell_lt t.data.(l) t.data.(!smallest) then smallest := l;
-        if r < t.size && cell_lt t.data.(r) t.data.(!smallest) then smallest := r;
+        if l < t.size && slot_lt t.data.(l) t.data.(!smallest) then
+          smallest := l;
+        if r < t.size && slot_lt t.data.(r) t.data.(!smallest) then
+          smallest := r;
         if !smallest <> !i then begin
           let tmp = t.data.(!smallest) in
           t.data.(!smallest) <- t.data.(!i);
@@ -65,8 +80,8 @@ let pop_min t =
       done
     end;
     Some (top.time, top.payload)
-  end
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+let peek_time t = match root t with Empty -> None | Cell c -> Some c.time
+
 let size t = t.size
 let is_empty t = t.size = 0

@@ -11,7 +11,9 @@ val push : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument if [time] is NaN. *)
 
 val pop_min : 'a t -> (float * 'a) option
-(** Remove and return the earliest event ([None] when empty). *)
+(** Remove and return the earliest event ([None] when empty). The heap
+    keeps no reference to a popped payload, so it can be collected as soon
+    as the caller drops it. *)
 
 val peek_time : 'a t -> float option
 (** Timestamp of the earliest event without removing it. *)

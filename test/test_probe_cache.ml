@@ -1,0 +1,242 @@
+(* The forwarding-epoch probe cache and the int-coded walker.
+
+   1. Cache equivalence: for every registered engine, on generated
+      topologies, under link failure, node fail -> recover, export
+      deny -> allow and churn, each with instant and with delayed failure
+      detection, the probe taken after every simulation event (possibly
+      the cached array of an earlier one) equals a fresh walk forced by
+      invalidating the cache. Checking after every event is stricter than
+      after every 20 ms monitor slice: a slice ends after its last event.
+   2. Walker equivalence: [Fwd_walk.walk_all] agrees with a hop-limited,
+      memo-free reference walker on random multi-state step tables. *)
+
+let registered =
+  [
+    Bgp_engine.engine;
+    Rbgp_engine.no_rci;
+    Rbgp_engine.rci;
+    Stamp_engine.default;
+    Hybrid_engine.full;
+  ]
+
+(* The adapters register themselves when linked; naming them above links
+   them, so the registry must hold exactly these. *)
+let test_registry_covered () =
+  let names = List.map (fun (module E : Engine.S) -> E.name) registered in
+  Alcotest.(check (list string))
+    "every registered engine is exercised"
+    (List.sort compare names)
+    (List.sort compare (Engine.Registry.names ()))
+
+(* --- 1. cache equivalence -------------------------------------------- *)
+
+let rec inject inst sim = function
+  | Scenario.Fail_link (u, v) -> Engine.fail_link inst u v
+  | Scenario.Fail_node v -> Engine.fail_node inst v
+  | Scenario.Deny_export (u, v) -> Engine.deny_export inst u v
+  | Scenario.Recover_link (u, v) -> Engine.recover_link inst u v
+  | Scenario.Recover_node v -> Engine.recover_node inst v
+  | Scenario.Allow_export (u, v) -> Engine.allow_export inst u v
+  | Scenario.At (dt, e) ->
+    Sim.schedule sim ~delay:dt (fun _ -> inject inst sim e)
+
+(* Each scenario family, undone 40 s later where it has an inverse. *)
+let scenarios st topo =
+  let undo (spec : Scenario.spec) =
+    let inverse = function
+      | Scenario.Fail_node v -> [ Scenario.At (40., Scenario.Recover_node v) ]
+      | Scenario.Deny_export (u, v) ->
+        [ Scenario.At (40., Scenario.Allow_export (u, v)) ]
+      | _ -> []
+    in
+    { spec with events = spec.events @ List.concat_map inverse spec.events }
+  in
+  (* a stub other than the destination: its own status is the only one
+     its failure changes. It fails a second after the first probe, not
+     before it. *)
+  let stub_failure (spec : Scenario.spec) =
+    let stubs =
+      List.filter
+        (fun v -> v <> spec.dest && Topology.is_stub topo v)
+        (Array.to_list (Topology.vertices topo))
+    in
+    let v = List.nth stubs (Random.State.int st (List.length stubs)) in
+    {
+      spec with
+      events =
+        [
+          Scenario.At (1., Scenario.Fail_node v);
+          Scenario.At (41., Scenario.Recover_node v);
+        ];
+    }
+  in
+  let link = Scenario.single_link st topo in
+  [
+    ("single link", link);
+    ("stub fail/recover", stub_failure link);
+    ("node fail/recover", undo (Scenario.node_failure st topo));
+    ("export deny/allow", undo (Scenario.policy_withdraw st topo));
+    ("churn", Scenario.churn ~rate:0.2 ~duration:60. st topo);
+    (* events closer together than the detection delay: forwarding
+       inputs then change while a failure is still undetected *)
+    ("fast churn", Scenario.churn ~rate:2. ~duration:20. st topo);
+  ]
+
+let max_events = 2_000_000
+
+type tally = { mutable checks : int; mutable hits : int }
+
+(* Converge, inject, then step the simulation one event at a time. After
+   each event the engine's probe (cached when the epoch stood still) must
+   equal a fresh walk. Returns the time of the first mismatch, if any. *)
+let check_run tally engine topo (spec : Scenario.spec) ~detect_delay ~seed =
+  let sim = Sim.create ~seed () in
+  let config = { Engine.default_config with seed; detect_delay } in
+  let inst = Engine.create engine sim topo ~dest:spec.dest config in
+  Engine.start inst;
+  ignore (Sim.run_guarded ~max_events sim);
+  List.iter (inject inst sim) spec.events;
+  let prev = ref [||] in
+  let mismatch = ref None in
+  let check () =
+    let cached = Engine.probe inst in
+    if cached == !prev then tally.hits <- tally.hits + 1;
+    Engine.touch_fwd inst;
+    let fresh = Engine.probe inst in
+    tally.checks <- tally.checks + 1;
+    if !mismatch = None && not (Array.for_all2 Fwd_walk.equal_status cached fresh)
+    then mismatch := Some (Sim.now sim);
+    prev := fresh
+  in
+  check ();
+  while Sim.pending sim > 0 && Sim.events_processed sim < max_events do
+    ignore (Sim.step sim);
+    check ()
+  done;
+  !mismatch
+
+let gen_case =
+  QCheck2.Gen.(pair (int_range 30 90) (int_range 0 1_000_000))
+
+let prop_cache_equivalence =
+  let tally = { checks = 0; hits = 0 } in
+  Test_support.qtest ~count:4
+    "cached probe = fresh walk, every engine, scenario and detect delay"
+    gen_case
+    (fun (n, seed) -> Printf.sprintf "{n=%d; seed=%d}" n seed)
+    (fun (n, seed) ->
+      let topo = Topo_gen.generate (Topo_gen.default_params ~seed ~n ()) in
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun (label, spec) ->
+          List.for_all
+            (fun detect_delay ->
+              List.for_all
+                (fun engine ->
+                  match
+                    check_run tally engine topo spec ~detect_delay ~seed
+                  with
+                  | None -> true
+                  | Some at ->
+                    QCheck2.Test.fail_reportf
+                      "%s, %s, detect_delay %g: cached probe differs from a \
+                       fresh walk at t=%g"
+                      (let (module E : Engine.S) = engine in
+                       E.name)
+                      label detect_delay at)
+                registered)
+            [ 0.; 1.5 ])
+        (scenarios st topo)
+      && (* the cache must actually be hit, and not on every check *)
+      tally.hits > 0 && tally.hits < tally.checks)
+
+(* --- 2. walker equivalence ------------------------------------------- *)
+
+(* A step table over [n] vertices and [num_states] states: [start.(v)] is
+   the start state, [step.(v * num_states + s)] the step code. *)
+type table = {
+  n : int;
+  num_states : int;
+  dest : int;
+  start : int array;
+  step : int array;
+}
+
+let gen_table =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let* num_states = int_range 1 4 in
+    let* dest = int_range 0 (n - 1) in
+    let* start = array_size (return n) (int_range 0 (num_states - 1)) in
+    let code =
+      frequency
+        [
+          (1, return Fwd_walk.drop);
+          (1, return Fwd_walk.deliver);
+          (6, int_range 0 ((n * num_states) - 1));
+        ]
+    in
+    let* step = array_size (return (n * num_states)) code in
+    return { n; num_states; dest; start; step })
+
+let print_table t =
+  Printf.sprintf "{n=%d; states=%d; dest=%d; start=[%s]; step=[%s]}" t.n
+    t.num_states t.dest
+    (String.concat ";" (Array.to_list (Array.map string_of_int t.start)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int t.step)))
+
+(* Follow one packet without memoization. A packet that has not resolved
+   after visiting as many (vertex, state) pairs as exist must have
+   revisited one: it loops. *)
+let reference t v =
+  let limit = t.n * t.num_states in
+  let rec go v s hops =
+    if v = t.dest then Fwd_walk.Delivered
+    else if hops > limit then Fwd_walk.Looped
+    else
+      let code = t.step.((v * t.num_states) + s) in
+      if code = Fwd_walk.drop then Fwd_walk.Blackholed
+      else if code = Fwd_walk.deliver then Fwd_walk.Delivered
+      else go (code / t.num_states) (code mod t.num_states) (hops + 1)
+  in
+  go v t.start.(v) 0
+
+let prop_walk_matches_reference =
+  Test_support.qtest ~count:500 "walk_all = hop-limited reference walker"
+    gen_table print_table (fun t ->
+      let got =
+        Fwd_walk.walk_all ~n:t.n ~dest:t.dest ~num_states:t.num_states
+          ~start:(fun v -> t.start.(v))
+          ~step:(fun v s -> t.step.((v * t.num_states) + s))
+      in
+      Array.for_all Fun.id
+        (Array.init t.n (fun v -> Fwd_walk.equal_status got.(v) (reference t v))))
+
+let test_bad_codes () =
+  let walk ~start ~step =
+    ignore (Fwd_walk.walk_all ~n:3 ~dest:2 ~num_states:2 ~start ~step)
+  in
+  Alcotest.check_raises "start state out of range"
+    (Invalid_argument "Fwd_walk.walk_all: bad start state") (fun () ->
+      walk ~start:(fun _ -> 2) ~step:(fun _ _ -> Fwd_walk.drop));
+  Alcotest.check_raises "forward past the last vertex"
+    (Invalid_argument "Fwd_walk.walk_all: bad step code") (fun () ->
+      walk ~start:(fun _ -> 0) ~step:(fun _ _ -> 6));
+  Alcotest.check_raises "unknown negative code"
+    (Invalid_argument "Fwd_walk.walk_all: bad step code") (fun () ->
+      walk ~start:(fun _ -> 0) ~step:(fun _ _ -> -3))
+
+let () =
+  Alcotest.run "probe_cache"
+    [
+      ( "cache",
+        [
+          Alcotest.test_case "registry covered" `Quick test_registry_covered;
+          prop_cache_equivalence;
+        ] );
+      ( "walker",
+        [
+          prop_walk_matches_reference;
+          Alcotest.test_case "bad codes rejected" `Quick test_bad_codes;
+        ] );
+    ]

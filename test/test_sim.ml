@@ -36,6 +36,45 @@ let test_heap_peek () =
   Alcotest.(check bool) "peek" true (Event_heap.peek_time h = Some 5.);
   Alcotest.(check int) "size" 1 (Event_heap.size h)
 
+(* A popped payload must not stay reachable from the heap. Pushing times
+   1, 5, 2 and popping twice moves the time-2 cell through the root into a
+   slot past the end: a heap that leaves vacated slots as they are keeps
+   it alive there, next to the still-queued time-5 event. The helpers are
+   not inlined so no stack slot of the test holds a payload. *)
+let[@inline never] push_tracked h weak i ~time =
+  let payload = ref time in
+  Weak.set weak i (Some payload);
+  Event_heap.push h ~time payload
+
+let[@inline never] pop_time h =
+  match Event_heap.pop_min h with Some (t, _) -> t | None -> nan
+
+let collected weak i =
+  Gc.full_major ();
+  not (Weak.check weak i)
+
+let test_heap_releases_popped () =
+  let h = Event_heap.create () in
+  let weak = Weak.create 4 in
+  push_tracked h weak 0 ~time:1.;
+  push_tracked h weak 1 ~time:5.;
+  push_tracked h weak 2 ~time:2.;
+  Alcotest.(check (float 0.)) "first pop" 1. (pop_time h);
+  Alcotest.(check (float 0.)) "second pop" 2. (pop_time h);
+  Alcotest.(check bool) "first popped payload collectable" true
+    (collected weak 0);
+  Alcotest.(check bool) "queued payload alive" false (collected weak 1);
+  Alcotest.(check bool) "second popped payload collectable" true
+    (collected weak 2);
+  Alcotest.(check (float 0.)) "queued event pops next" 5. (pop_time h);
+  Alcotest.(check bool) "payload popped last collectable (heap empty)" true
+    (collected weak 1);
+  (* a single event, pushed into and popped out of an empty heap *)
+  push_tracked h weak 3 ~time:0.;
+  Alcotest.(check (float 0.)) "sole pop" 0. (pop_time h);
+  Alcotest.(check bool) "sole payload collectable" true (collected weak 3);
+  Alcotest.(check int) "empty" 0 (Event_heap.size h)
+
 let prop_heap_sorts =
   Test_support.qtest "heap pops in nondecreasing time order"
     QCheck2.Gen.(list_size (int_range 1 200) (float_range 0. 100.))
@@ -303,6 +342,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "nan rejected" `Quick test_heap_nan_rejected;
           Alcotest.test_case "peek/size" `Quick test_heap_peek;
+          Alcotest.test_case "popped payloads collectable" `Quick
+            test_heap_releases_popped;
           prop_heap_sorts;
         ] );
       ( "sim",
