@@ -463,7 +463,7 @@ let churn pool cfg =
 
 (* How much does pre-flighting cost relative to the simulations it guards?
    Times one whole-topology sweep (every check over every destination, the
-   Fleet/CLI path) with the per-check breakdown, then a Runner-path batch
+   CLI path) with the per-check breakdown, then a Runner-path batch
    (one spec-scoped analysis per instance) inline and through the pool. *)
 let staticcheck pool cfg =
   section
@@ -555,7 +555,7 @@ let smoke pool cfg =
        (fun acc (s : Experiment.churn_summary) ->
          acc + s.event_budget_exhausted)
        0 summaries);
-  (* counter wiring check: every registered engine reports per-run update
+  (* counter wiring check: every engine in Runner.engines reports per-run update
      counters that are non-negative, consistent with the message totals,
      and serialised with all four fields present in the --json payload *)
   let contains s sub =
@@ -595,9 +595,9 @@ let smoke pool cfg =
             end)
           [ "announcements"; "withdrawals"; "mrai_deferrals"; "lost_to_resets" ];
         Printf.sprintf "{\"engine\": %S, \"counters\": %s}" engine_name j)
-      (Engine.Registry.all ())
+      Runner.engines
   in
-  Format.printf "smoke OK: update counters wired for %d registered engines@."
+  Format.printf "smoke OK: update counters wired for %d engines@."
     (List.length counter_rows);
   record_target "smoke" wall
     ~bars:(Report.bars_stats_to_json par)

@@ -2,13 +2,13 @@
     Each returns a structured result; {!Report} renders them as the rows
     and series the paper plots.
 
-    Every sweep over (protocol, scenario-instance) pairs accepts an
-    optional {!Parallel.t} pool and distributes its independent
-    [Runner.run] jobs over it. Determinism contract: each job derives all
-    randomness from its own explicit seed ([seed + instance], exactly as
-    the sequential loops always did), so for fixed seeds the returned
-    numbers are {e bit-identical} whether [pool] is absent, has one
-    worker, or has many. *)
+    Every sweep runs through one driver: it runs each variant (a protocol,
+    an engine, a parameter value) on every sampled scenario instance,
+    accepts an optional {!Parallel.t} pool and distributes its independent
+    jobs over it. Determinism contract: each job derives all randomness
+    from its own explicit seed ([seed + instance]), so for fixed seeds the
+    returned numbers are {e bit-identical} whether [pool] is absent, has
+    one worker, or has many. *)
 
 type fig1_result = {
   cdf : Cdf.t;  (** the Figure 1 CDF of Φk over all destinations *)
@@ -40,7 +40,8 @@ val failure_bars :
   bars
 (** Run every protocol on [instances] sampled scenarios (default 20) and
     average the transient counts — the engine behind Figures 2, 3(a),
-    3(b) and the node-failure variant. *)
+    3(b) and the node-failure variant. The means of
+    {!failure_bars_stats}. *)
 
 val failure_bars_stats :
   ?pool:Parallel.t ->
@@ -55,23 +56,6 @@ val failure_bars_stats :
     instances (mean, standard deviation, median, extremes) — failure
     impact is heavy-tailed, so a bar without spread is easy to
     over-read. *)
-
-val engine_bars :
-  ?pool:Parallel.t ->
-  ?instances:int ->
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?engines:(module Engine.S) list ->
-  scenario:(Random.State.t -> Topology.t -> Scenario.spec) ->
-  Topology.t ->
-  (string * float) list
-(** The fully generic sweep behind {!failure_bars}: average transient
-    counts for an arbitrary engine list, keyed by engine name. [engines]
-    defaults to every registered engine ({!Engine.Registry.all}, in
-    registration order), so a newly registered protocol shows up in the
-    sweep without touching this module. Same determinism contract and
-    per-instance seeding as {!failure_bars}. *)
 
 type overhead_result = {
   protocol : Runner.protocol;

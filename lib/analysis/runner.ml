@@ -14,6 +14,11 @@ let engine_of_protocol : protocol -> (module Engine.S) = function
   | Rbgp -> Rbgp_engine.rci
   | Stamp -> Stamp_engine.default
 
+let engines =
+  List.map
+    (fun ((module E : Engine.S) as engine) -> (E.name, engine))
+    (List.map engine_of_protocol all_protocols @ [ Hybrid_engine.full ])
+
 type budget = { max_events : int; max_vtime : float }
 
 (* Generous enough that no paper workload ever hits it: the figure
@@ -98,111 +103,120 @@ let status_string = function
   | Fwd_walk.Looped -> "looped"
   | Fwd_walk.Blackholed -> "blackholed"
 
-let measure ~interval ~budget ~trace topo (spec : Scenario.spec) sim net =
-  let engine_id = Engine.name net in
-  let phase name =
-    if Trace.enabled trace then
-      Trace.emit trace ~vtime:(Sim.now sim) ~engine:engine_id ~loc:Trace.Net
-        (Trace.Phase name)
-  in
-  let timeline () =
-    if Trace.readable trace then Some (Timeline.of_events (Trace.events trace))
-    else None
-  in
-  phase "start";
-  Engine.start net;
-  let initial_verdict =
-    Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events
-  in
-  let messages_initial = Engine.message_count net in
-  let event_time = Sim.now sim in
-  match initial_verdict with
-  | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
-    (* initial convergence never finished: report what we can see and let
-       the verdict flag the row — the sweep goes on *)
-    let final = Engine.probe net in
-    let broken =
-      Array.fold_left
-        (fun acc s ->
-          if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
-        0 final
-    in
-    phase "final";
-    {
-      transient_count = 0;
-      broken_after = broken;
-      convergence_delay = 0.;
-      recovery_delay = 0.;
-      messages_initial;
-      messages_event = 0;
-      checkpoints = 1;
-      counters = Counters.snapshot (Engine.counters net);
-      verdict = initial_verdict;
-      diagnostics = [];
-      certificate = None;
-      timeline = timeline ();
-    }
-  | Sim.Converged ->
-    phase "initial-converged";
-    List.iter (inject ~trace topo net sim) spec.events;
-    phase "events-injected";
-    let on_status =
-      if Trace.enabled trace then
-        Some
-          (fun ~changed v s ->
-            Trace.emit trace ~vtime:(Sim.now sim) ~engine:engine_id
-              ~loc:(Trace.Node (Topology.asn topo v))
-              (Trace.Status { status = status_string s; changed }))
-      else None
-    in
-    let remaining_events = budget.max_events - Sim.events_processed sim in
-    let outcome, verdict =
-      Transient.run_guarded sim ~interval ~max_events:(max 1 remaining_events)
-        ~max_vtime:(event_time +. budget.max_vtime)
-        ?on_status
-        ~probe:(fun () -> Engine.probe net)
-        ()
-    in
-    phase "final";
-    let broken_after =
-      Array.fold_left
-        (fun acc s ->
-          if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
-        0 outcome.final
-    in
-    {
-      transient_count = Transient.transient_count outcome;
-      broken_after;
-      convergence_delay = Float.max 0. (Engine.last_change net -. event_time);
-      recovery_delay = Float.max 0. (outcome.last_status_change -. event_time);
-      messages_initial;
-      messages_event = Engine.message_count net - messages_initial;
-      checkpoints = outcome.checkpoints;
-      counters = Counters.snapshot (Engine.counters net);
-      verdict;
-      diagnostics = [];
-      certificate = None;
-      timeline = timeline ();
-    }
+let count_broken statuses =
+  Array.fold_left
+    (fun acc s ->
+      if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
+    0 statuses
 
-let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
-    ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
-    ?(trace = Trace.null) engine topo (spec : Scenario.spec) =
+let phase ~trace sim net name =
+  if Trace.enabled trace then
+    Trace.emit trace ~vtime:(Sim.now sim) ~engine:(Engine.name net)
+      ~loc:Trace.Net (Trace.Phase name)
+
+(* The set-up both entry points share: validate the (topology, scenario)
+   pair, then build the simulation and the engine's network. *)
+let create ~seed ~mrai_base ~detect_delay ~validate ~trace engine topo
+    (spec : Scenario.spec) =
   let detect_delay =
     match spec.detect_delay with Some d -> d | None -> detect_delay
   in
-  let diagnostics, certificate =
-    validate_spec ~validate ~mrai_base ~detect_delay topo spec
-  in
+  let checked = validate_spec ~validate ~mrai_base ~detect_delay topo spec in
   let sim = Sim.create ~seed () in
   let config =
     { Engine.default_config with seed; mrai_base; detect_delay; trace }
   in
-  let net = Engine.create engine sim topo ~dest:spec.dest config in
+  (checked, sim, Engine.create engine sim topo ~dest:spec.dest config)
+
+(* What the converge-and-inject step leaves for the reconvergence phase.
+   [messages_initial] and [event_time] are read before injection;
+   [max_events] and [max_vtime] are the budget left for reconvergence. *)
+type started = {
+  initial : Sim.verdict;
+  messages_initial : int;
+  event_time : float;
+  max_events : int;
+  max_vtime : float;
+}
+
+(* Start the engine and converge under [budget]; if that converged, inject
+   the scenario's events. *)
+let converge_and_inject ~(budget : budget) ~trace topo (spec : Scenario.spec)
+    sim net =
+  phase ~trace sim net "start";
+  Engine.start net;
+  let initial =
+    Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events
+  in
+  let messages_initial = Engine.message_count net in
+  let event_time = Sim.now sim in
+  if Sim.equal_verdict initial Sim.Converged then begin
+    phase ~trace sim net "initial-converged";
+    List.iter (inject ~trace topo net sim) spec.events;
+    phase ~trace sim net "events-injected"
+  end;
   {
-    (measure ~interval ~budget ~trace topo spec sim net) with
+    initial;
+    messages_initial;
+    event_time;
+    max_events = max 1 (budget.max_events - Sim.events_processed sim);
+    max_vtime = event_time +. budget.max_vtime;
+  }
+
+let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
+    ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
+    ?(trace = Trace.null) engine topo (spec : Scenario.spec) =
+  let (diagnostics, certificate), sim, net =
+    create ~seed ~mrai_base ~detect_delay ~validate ~trace engine topo spec
+  in
+  let { initial; messages_initial; event_time; max_events; max_vtime } =
+    converge_and_inject ~budget ~trace topo spec sim net
+  in
+  let outcome, verdict =
+    match initial with
+    | Sim.Converged ->
+      let on_status =
+        if Trace.enabled trace then
+          Some
+            (fun ~changed v s ->
+              Trace.emit trace ~vtime:(Sim.now sim) ~engine:(Engine.name net)
+                ~loc:(Trace.Node (Topology.asn topo v))
+                (Trace.Status { status = status_string s; changed }))
+        else None
+      in
+      Transient.run_guarded sim ~interval ~max_events ~max_vtime ?on_status
+        ~probe:(fun () -> Engine.probe net)
+        ()
+    | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
+      (* initial convergence never finished, so no event was injected:
+         report the forwarding plane as it stands and let the verdict flag
+         the row — the sweep goes on *)
+      ( {
+          Transient.transient = [||];
+          final = Engine.probe net;
+          checkpoints = 1;
+          converged_at = event_time;
+          last_status_change = event_time;
+        },
+        initial )
+  in
+  phase ~trace sim net "final";
+  {
+    transient_count = Transient.transient_count outcome;
+    broken_after = count_broken outcome.final;
+    convergence_delay = Float.max 0. (Engine.last_change net -. event_time);
+    recovery_delay = Float.max 0. (outcome.last_status_change -. event_time);
+    messages_initial;
+    messages_event = Engine.message_count net - messages_initial;
+    checkpoints = outcome.checkpoints;
+    counters = Counters.snapshot (Engine.counters net);
+    verdict;
     diagnostics;
     certificate;
+    timeline =
+      (if Trace.readable trace then
+         Some (Timeline.of_events (Trace.events trace))
+       else None);
   }
 
 let run ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
@@ -210,41 +224,18 @@ let run ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
   run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
     (engine_of_protocol protocol) topo spec
 
-let run_stamp ?seed ?mrai_base ?interval ?detect_delay
-    ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
-    ?budget ?validate ?trace topo spec =
-  run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
-    (Stamp_engine.make ~spread_unlocked_blue ~strategy ())
-    topo spec
-
-let run_hybrid ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate
-    ?trace ~deployed topo spec =
-  run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
-    (Hybrid_engine.make ~deployed ())
-    topo spec
-
 let run_traffic ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
     ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
-    protocol topo (spec : Scenario.spec) =
-  let detect_delay =
-    match spec.detect_delay with Some d -> d | None -> detect_delay
+    protocol topo spec =
+  let trace = Trace.null in
+  let _, sim, net =
+    create ~seed ~mrai_base ~detect_delay ~validate ~trace
+      (engine_of_protocol protocol) topo spec
   in
-  let (_ : Diagnostic.t list * Staticcheck.certificate option) =
-    validate_spec ~validate ~mrai_base ~detect_delay topo spec
-  in
-  let sim = Sim.create ~seed () in
-  let config = { Engine.default_config with seed; mrai_base; detect_delay } in
-  let net =
-    Engine.create (engine_of_protocol protocol) sim topo ~dest:spec.dest config
-  in
-  Engine.start net;
-  ignore
-    (Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events);
-  let event_time = Sim.now sim in
-  List.iter (inject ~trace:Trace.null topo net sim) spec.events;
-  let remaining_events = budget.max_events - Sim.events_processed sim in
-  Traffic.observe sim ~interval
-    ~max_events:(max 1 remaining_events)
-    ~max_vtime:(event_time +. budget.max_vtime)
-    ~probe:(fun () -> Engine.probe net)
-    ()
+  match converge_and_inject ~budget ~trace topo spec sim net with
+  | { initial = Sim.Converged; max_events; max_vtime; _ } ->
+    Traffic.observe sim ~interval ~max_events ~max_vtime
+      ~probe:(fun () -> Engine.probe net)
+      ()
+  | { initial = verdict; _ } ->
+    { Traffic.buckets = []; loss_events = 0; loop_events = 0; verdict }

@@ -2,8 +2,9 @@
     measure transient problems, convergence delay and message overhead.
 
     The runner is generic over {!Engine.S}: every entry point builds a
-    packed {!Engine.instance} and drives it through one code path — the
-    per-protocol convenience wrappers only choose which engine to pack.
+    packed {!Engine.instance} and drives it through one set-up and one
+    converge-and-inject step — {!run} only chooses which engine to pack,
+    and {!run_traffic} observes packet fates instead of transient ASes.
 
     Every entry point is guarded by a {!budget}: no run can hang on a
     diverging or churn-saturated instance — it terminates with a
@@ -18,7 +19,12 @@ val all_protocols : protocol list
 val protocol_name : protocol -> string
 
 val engine_of_protocol : protocol -> (module Engine.S)
-(** The registered engine behind each paper protocol. *)
+(** The engine behind each paper protocol. *)
+
+val engines : (string * (module Engine.S)) list
+(** Every engine the generic test suites and benches exercise, keyed by
+    name: the four paper engines in bar order, then
+    {!Hybrid_engine.full}. *)
 
 type budget = {
   max_events : int;  (** whole-run cap on simulation events processed *)
@@ -129,42 +135,9 @@ val run :
   Scenario.spec ->
   result
 (** {!run_engine} on {!engine_of_protocol}. STAMP uses
-    {!Coloring.Random_choice} seeded from [seed]. *)
-
-val run_stamp :
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?detect_delay:float ->
-  ?spread_unlocked_blue:bool ->
-  ?strategy:Coloring.strategy ->
-  ?budget:budget ->
-  ?validate:Staticcheck.validate ->
-  ?trace:Trace.sink ->
-  Topology.t ->
-  Scenario.spec ->
-  result
-(** Like {!run} for STAMP, with the protocol-variant knobs exposed for the
-    ablation benches: unlocked-blue spreading and the locked-blue-provider
-    selection strategy. *)
-
-val run_hybrid :
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?detect_delay:float ->
-  ?budget:budget ->
-  ?validate:Staticcheck.validate ->
-  ?trace:Trace.sink ->
-  deployed:(Topology.vertex -> bool) ->
-  Topology.t ->
-  Scenario.spec ->
-  result
-(** Like {!run} for {!Hybrid_net}: STAMP at the ASes satisfying
-    [deployed], plain BGP elsewhere — the dynamic version of the paper's
-    partial-deployment question. Supports the full event vocabulary (node
-    failure/recovery and export policy included), like every other
-    engine. *)
+    {!Coloring.Random_choice} seeded from [seed]. Protocol variants go to
+    {!run_engine} directly: [Stamp_engine.make] builds the STAMP ablation
+    variants, [Hybrid_engine.make ~deployed] a partial deployment. *)
 
 val run_traffic :
   ?seed:int ->
@@ -180,4 +153,6 @@ val run_traffic :
 (** Like {!run} but measure the packet-loss composition during
     reconvergence with {!Traffic.observe} instead of counting affected
     ASes — the paper's Section 1 motivation (loops vs blackholes). The
-    summary's [verdict] reports how the observation ended. *)
+    summary's [verdict] reports how the observation ended; when the budget
+    killed the initial convergence, no event is injected and the summary
+    has no buckets and no losses. *)

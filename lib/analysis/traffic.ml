@@ -31,7 +31,7 @@ let observe sim ?(interval = 0.02) ?(bucket = 1.0) ?(max_events = 50_000_000)
   let table : (int, acc) Hashtbl.t = Hashtbl.create 64 in
   let loss_events = ref 0 in
   let loop_events = ref 0 in
-  let note () =
+  let note ~final:_ statuses =
     let idx = int_of_float ((Sim.now sim -. t0) /. bucket) in
     let acc =
       match Hashtbl.find_opt table idx with
@@ -53,25 +53,11 @@ let observe sim ?(interval = 0.02) ?(bucket = 1.0) ?(max_events = 50_000_000)
         | Blackholed ->
           acc.blackholed <- acc.blackholed + 1;
           incr loss_events)
-      (probe ())
+      statuses
   in
-  note ();
-  let events_budget = ref max_events in
-  let verdict = ref Sim.Converged in
-  while Sim.pending sim > 0 && !verdict = Sim.Converged do
-    if Sim.now sim >= max_vtime then verdict := Sim.Time_budget_exhausted
-    else begin
-      let upto = Float.min (Sim.now sim +. interval) max_vtime in
-      let before = Sim.events_processed sim in
-      Sim.run ~until:upto ~max_events:(max 0 !events_budget) sim;
-      let processed = Sim.events_processed sim - before in
-      events_budget := !events_budget - processed;
-      if !events_budget <= 0 && Sim.pending sim > 0 then
-        verdict := Sim.Event_budget_exhausted
-      else if processed > 0 then note ()
-    end
-  done;
-  note ();
+  let verdict =
+    Transient.watch sim ~interval ~max_events ~max_vtime ~probe ~note
+  in
   let buckets =
     Hashtbl.fold (fun idx acc l -> (idx, acc) :: l) table []
     |> List.sort compare
@@ -84,9 +70,4 @@ let observe sim ?(interval = 0.02) ?(bucket = 1.0) ?(max_events = 50_000_000)
              blackholed = float_of_int a.blackholed /. k;
            })
   in
-  {
-    buckets;
-    loss_events = !loss_events;
-    loop_events = !loop_events;
-    verdict = !verdict;
-  }
+  { buckets; loss_events = !loss_events; loop_events = !loop_events; verdict }

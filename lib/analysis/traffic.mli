@@ -36,9 +36,9 @@ val observe :
   probe:(unit -> Fwd_walk.status array) ->
   unit ->
   summary
-(** Drive the simulation to convergence like {!Transient.run}, probing
-    every [interval] (default 0.02 s) and aggregating the per-AS statuses
-    into buckets of [bucket] seconds (default 1 s). [max_events] (default
-    50 million) and [max_vtime] (default unbounded) bound the loop; when a
-    budget hits, the partial summary is returned with the matching
-    {!Sim.verdict}. *)
+(** Drive the simulation to convergence through {!Transient.watch},
+    probing every [interval] (default 0.02 s) and aggregating the per-AS
+    statuses of every checkpoint, the final one included, into buckets of
+    [bucket] seconds (default 1 s). [max_events] (default 50 million) and
+    [max_vtime] (default unbounded) bound the loop; when a budget hits, the
+    partial summary is returned with the matching {!Sim.verdict}. *)

@@ -26,22 +26,28 @@ type outcome = {
 val transient_count : outcome -> int
 (** Number of ASes with [transient.(v) = true]. *)
 
-val run :
+val watch :
   Sim.t ->
-  ?interval:float ->
-  ?max_events:int ->
+  interval:float ->
+  max_events:int ->
+  max_vtime:float ->
   probe:(unit -> Fwd_walk.status array) ->
-  unit ->
-  outcome
-(** Probe immediately (the instant of the routing event), then repeatedly
-    every [interval] seconds of virtual time (default 0.02 s, matching the paper's 10-20 ms message delays so transient windows are not missed; probes are skipped while no events fire, so quiet MRAI gaps cost nothing) until the
-    event queue drains, then probe one final time. [max_events] (default
-    50 million) guards against non-termination and raises [Failure] when
-    exceeded with events still pending. The monitor keeps the previous
-    probe's array, so [probe] must never mutate an array it returned; when
-    it returns that same array again (an engine's cached walk,
-    {!Engine.probe}) the checkpoint is taken as unchanged without a
-    per-AS comparison. *)
+  note:(final:bool -> Fwd_walk.status array -> unit) ->
+  Sim.verdict
+(** The checkpoint loop every forwarding-plane measurement folds over.
+    Probe immediately (the instant of the routing event), then drive the
+    simulation in [interval]-second slices of virtual time, probing after
+    every slice that fired events while more are pending (quiet MRAI gaps
+    cost nothing), until the event queue drains or a budget runs out; then
+    probe one final time. Each probe's result goes to [note], with
+    [~final:true] only for the last one.
+
+    Returns {!Sim.Converged} when the queue drained,
+    {!Sim.Event_budget_exhausted} when [max_events] fired with events still
+    pending, and {!Sim.Time_budget_exhausted} when the clock reached
+    [max_vtime] with events still pending. The final probe runs in every
+    case.
+    @raise Invalid_argument on a non-positive [interval]. *)
 
 val run_guarded :
   Sim.t ->
@@ -52,14 +58,19 @@ val run_guarded :
   probe:(unit -> Fwd_walk.status array) ->
   unit ->
   outcome * Sim.verdict
-(** Like {!run} but returns a {!Sim.verdict} instead of raising, so sweeps
-    over adversarial or churn-heavy instances degrade gracefully:
-    {!Sim.Event_budget_exhausted} when [max_events] fired with events still
-    pending, {!Sim.Time_budget_exhausted} when the clock reached
-    [max_vtime] (default: unbounded) with events still pending. On a
+(** The transient set as a fold over {!watch}, with [interval] (default
+    0.02 s, matching the paper's 10-20 ms message delays so transient
+    windows are not missed), [max_events] (default 50 million) and
+    [max_vtime] (default unbounded). Returns {!watch}'s verdict, so sweeps
+    over adversarial or churn-heavy instances degrade gracefully: on a
     non-{!Sim.Converged} verdict the outcome reports whatever the monitor
     observed up to the kill point (the final probe still runs, so [final]
     reflects the forwarding plane at the moment the budget hit).
+
+    The monitor keeps the previous probe's array, so [probe] must never
+    mutate an array it returned; when it returns that same array again
+    (an engine's cached walk, {!Engine.probe}) the checkpoint is taken as
+    unchanged without a per-AS comparison.
 
     [on_status] observes the per-AS statuses the aggregate outcome is
     computed from, in a protocol precise enough to reconstruct it exactly:

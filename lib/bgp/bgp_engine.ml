@@ -22,5 +22,3 @@ let engine : (module Engine.S) =
     let last_change = Bgp_net.last_change
     let counters = Bgp_net.counters
   end)
-
-let () = Engine.Registry.register engine

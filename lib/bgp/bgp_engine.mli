@@ -1,4 +1,3 @@
-(** {!Bgp_net} packed as a first-class {!Engine.S}, registered in the
-    {!Engine.Registry} under ["BGP"] at module initialisation. *)
+(** {!Bgp_net} packed as a first-class {!Engine.S}, named ["BGP"]. *)
 
 val engine : (module Engine.S)

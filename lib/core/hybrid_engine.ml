@@ -24,5 +24,5 @@ let make ?(name = "STAMP-BGP hybrid") ~deployed () : (module Engine.S) =
     let counters = Hybrid_net.counters
   end)
 
-let full = make ~name:"STAMP-BGP hybrid (full deployment)" ~deployed:(fun _ -> true) ()
-let () = Engine.Registry.register full
+let full =
+  make ~name:"STAMP-BGP hybrid (full deployment)" ~deployed:(fun _ -> true) ()

@@ -1,7 +1,8 @@
 (** {!Hybrid_net} packed as a first-class {!Engine.S}. {!make} closes over
-    the deployment predicate; the full-deployment instance is registered
-    under ["STAMP-BGP hybrid (full deployment)"] so the conformance suite
-    exercises the hybrid lifecycle alongside the four paper engines. *)
+    the deployment predicate; {!full}, named
+    ["STAMP-BGP hybrid (full deployment)"], is listed in [Runner.engines] so
+    the conformance suite exercises the hybrid lifecycle alongside the four
+    paper engines. *)
 
 val full : (module Engine.S)
 
@@ -10,4 +11,4 @@ val make :
   deployed:(Topology.vertex -> bool) ->
   unit ->
   (module Engine.S)
-(** A hybrid engine at the given deployment (not registered). *)
+(** A hybrid engine at the given deployment. *)

@@ -30,4 +30,3 @@ let make ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
   end)
 
 let default = make ()
-let () = Engine.Registry.register default

@@ -1,7 +1,6 @@
-(** {!Stamp_net} packed as a first-class {!Engine.S}. The paper's default
-    variant (random-choice coloring, no unlocked-blue spreading) is
-    registered under ["STAMP"] at module initialisation; {!make} builds
-    ablation variants for the benches. *)
+(** {!Stamp_net} packed as a first-class {!Engine.S}. {!default} is the
+    paper's variant (random-choice coloring, no unlocked-blue spreading),
+    named ["STAMP"]; {!make} builds ablation variants for the benches. *)
 
 val default : (module Engine.S)
 
@@ -11,5 +10,5 @@ val make :
   ?name:string ->
   unit ->
   (module Engine.S)
-(** An ablation variant (not registered unless you do so yourself). The
-    coloring is drawn per-run from {!Engine.config}[.seed]. *)
+(** An ablation variant. The coloring is drawn per-run from
+    {!Engine.config}[.seed]. *)

@@ -52,22 +52,3 @@ let touch_fwd (Instance ((module E), t)) = E.touch_fwd t
 let message_count (Instance ((module E), t)) = E.message_count t
 let last_change (Instance ((module E), t)) = E.last_change t
 let counters (Instance ((module E), t)) = E.counters t
-
-module Registry = struct
-  let table : (string, (module S)) Hashtbl.t = Hashtbl.create 8
-  let order : string list ref = ref []
-
-  let register (module E : S) =
-    if not (Hashtbl.mem table E.name) then begin
-      Hashtbl.replace table E.name (module E : S);
-      order := E.name :: !order
-    end
-
-  let find name = Hashtbl.find_opt table name
-  let names () = List.rev !order
-
-  let all () =
-    List.filter_map
-      (fun n -> Option.map (fun e -> (n, e)) (Hashtbl.find_opt table n))
-      (names ())
-end

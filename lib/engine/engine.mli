@@ -1,12 +1,13 @@
 (** First-class protocol engines: the full lifecycle every routing process
     in this repository exposes — construction, start, failure/recovery and
     policy events, the forwarding-plane probe and the update counters —
-    captured as a module type, plus packed instances and a registry.
+    captured as a module type, plus packed instances.
 
-    Analysis code (Runner, Experiment, the bench fleet, conformance tests)
-    is generic over {!S}: adding protocol #5 means writing its decision /
+    Analysis code (Runner, Experiment, the benches, conformance tests) is
+    generic over {!S}: adding protocol #5 means writing its decision /
     export / attribute policy on top of {!Session_core}, wrapping it in an
-    [S] implementation, and registering it — nothing else changes. *)
+    [S] implementation, and adding it to [Runner.engines] — nothing else
+    changes. *)
 
 type config = {
   seed : int;
@@ -43,7 +44,8 @@ module type S = sig
   type t
 
   val name : string
-  (** Display name, also the registry key (e.g. ["R-BGP without RCI"]). *)
+  (** Display name, also the key in [Runner.engines] (e.g.
+      ["R-BGP without RCI"]). *)
 
   val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
   (** Build the network for one destination. Nothing is announced until
@@ -95,16 +97,3 @@ val touch_fwd : instance -> unit
 val message_count : instance -> int
 val last_change : instance -> float
 val counters : instance -> Counters.t
-
-(** Name → packed engine mapping. Engines self-register at module
-    initialisation (their adapter modules run [register] as a toplevel
-    effect); registration order is preserved and duplicate names are
-    ignored, so re-registration is harmless. *)
-module Registry : sig
-  val register : (module S) -> unit
-  val find : string -> (module S) option
-  val names : unit -> string list
-
-  val all : unit -> (string * (module S)) list
-  (** Registered engines in registration order. *)
-end

@@ -25,7 +25,3 @@ let make ~rci:rci_enabled ~name:engine_name : (module Engine.S) =
 
 let no_rci = make ~rci:false ~name:"R-BGP without RCI"
 let rci = make ~rci:true ~name:"R-BGP"
-
-let () =
-  Engine.Registry.register no_rci;
-  Engine.Registry.register rci

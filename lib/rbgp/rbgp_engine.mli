@@ -1,9 +1,8 @@
 (** {!Rbgp_net} packed as first-class {!Engine.S} values — the two
-    paper variants are registered under ["R-BGP without RCI"] and
-    ["R-BGP"] at module initialisation. *)
+    paper variants, named ["R-BGP without RCI"] and ["R-BGP"]. *)
 
 val no_rci : (module Engine.S)
 val rci : (module Engine.S)
 
 val make : rci:bool -> name:string -> (module Engine.S)
-(** A custom-named R-BGP variant (not registered). *)
+(** A custom-named R-BGP variant. *)

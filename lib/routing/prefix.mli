@@ -2,9 +2,8 @@
 
     The simulators in this repository are per-destination-AS (routing under
     Gao–Rexford policies is independent across prefixes), but the
-    data-plane machinery ({!Lpm} forwarding tables, the {!Fleet}
-    any-to-any forwarding layer, the examples) works on real prefixes and
-    addresses. *)
+    data-plane machinery ({!Lpm} forwarding tables) works on real prefixes
+    and addresses. *)
 
 type t
 (** A prefix in canonical form: host bits are zero. *)

@@ -1,6 +1,6 @@
 (** One static check: a named, self-registering pass over a topology and
-    (optionally) a scenario, mirroring {!Engine.Registry}'s pattern — check
-    modules run [Registry.register] as a toplevel effect, and
+    (optionally) a scenario — check modules run [Registry.register] as a
+    toplevel effect, and
     {!Staticcheck} forces their linking, so the catalog extends without
     touching the driver. *)
 

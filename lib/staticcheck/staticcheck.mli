@@ -8,8 +8,7 @@
     dispute wheel ⇒ convergence). This module decides all of that in
     milliseconds, so broken inputs are rejected instead of simulated.
 
-    Checks self-register in {!Check.Registry} (the {!Engine.Registry}
-    pattern); the built-in catalog:
+    Checks self-register in {!Check.Registry}; the built-in catalog:
 
     - [topo.wellformed] — symmetric relationships, no self-loops, no
       provider cycles (SCC), connected graph;

@@ -10,7 +10,7 @@
     Runner's own measurements exactly — [transient_count], [broken_after],
     [convergence_delay] and [recovery_delay] are {e defined} to equal the
     corresponding [Runner.result] fields, and the differential test suite
-    asserts that equality for every registered engine. *)
+    asserts that equality for every engine in [Runner.engines]. *)
 
 type window = {
   asn : int;

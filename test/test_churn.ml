@@ -203,17 +203,17 @@ let test_with_resampling_error () =
       ignore
         (Scenario.with_resampling ~attempts:0 "hopeless" (fun _ _ -> None) st t))
 
-(* --- run_hybrid event coverage ------------------------------------------ *)
+(* --- hybrid event coverage ----------------------------------------------- *)
 
 (* The hybrid engine used to pre-reject node and policy events; on the
    shared session core it supports the full vocabulary like every other
    engine. *)
-let test_run_hybrid_full_vocabulary () =
+let test_hybrid_full_vocabulary () =
   let t = Test_support.diamond () in
   let dest = vtx t 3 in
   let check_converges label events =
     let r =
-      Runner.run_hybrid ~deployed:(fun _ -> true) t
+      Runner.run_engine Hybrid_engine.full t
         { Scenario.dest; events; detect_delay = None }
     in
     Alcotest.(check string) (label ^ " runs to a verdict") "converged"
@@ -238,7 +238,7 @@ let test_run_hybrid_full_vocabulary () =
   (* a denied export at a legacy-BGP AS pair actually withdraws the route:
      the hybrid's policy machinery works, it isn't silently ignored *)
   let r =
-    Runner.run_hybrid ~deployed:(fun _ -> false) t
+    Runner.run_engine (Hybrid_engine.make ~deployed:(fun _ -> false) ()) t
       {
         Scenario.dest;
         events = [ Scenario.Deny_export (dest, vtx t 1) ];
@@ -394,7 +394,7 @@ let () =
       ( "watchdogs",
         [
           Alcotest.test_case "run_hybrid supports the full vocabulary" `Quick
-            test_run_hybrid_full_vocabulary;
+            test_hybrid_full_vocabulary;
           prop_flap_terminates;
           Alcotest.test_case "tiny budget: sweep full of verdicts" `Quick
             test_sweep_tiny_budget_verdicts;

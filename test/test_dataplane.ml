@@ -1,5 +1,5 @@
 (* Tests for the data-plane substrate: IPv4 prefixes, longest-prefix-match
-   tries, the any-to-any FIB fleet, and packet-loss composition. *)
+   tries, packet-loss composition and vantage feeds. *)
 
 let addr = Prefix.addr_of_string
 
@@ -165,61 +165,6 @@ let prop_lpm_matches_linear_scan =
           expected = got)
         raw_addrs)
 
-(* --- Fleet --------------------------------------------------------------- *)
-
-let fleet = lazy (Fleet.build (Topo_gen.generate (Topo_gen.default_params ~n:60 ())))
-
-let test_fleet_any_to_any () =
-  let f = Lazy.force fleet in
-  let topo = Fleet.topology f in
-  Array.iter
-    (fun src ->
-      Array.iter
-        (fun dst ->
-          if src <> dst then begin
-            let a = Prefix.network (Fleet.prefix_of f dst) in
-            let tr = Fleet.route f ~src a in
-            (match tr.Fleet.outcome with
-            | `Delivered -> ()
-            | `No_route ->
-              Alcotest.failf "no route %d -> %d" (Topology.asn topo src)
-                (Topology.asn topo dst));
-            Alcotest.(check bool) "ends at dst" true
-              (List.nth tr.Fleet.hops (List.length tr.Fleet.hops - 1) = dst)
-          end)
-        (Topology.vertices topo))
-    (Topology.vertices topo)
-
-let test_fleet_paths_valley_free () =
-  let f = Lazy.force fleet in
-  let topo = Fleet.topology f in
-  let st = Random.State.make [| 5 |] in
-  for _ = 1 to 200 do
-    let vs = Topology.vertices topo in
-    let src = vs.(Random.State.int st (Array.length vs)) in
-    let dst = vs.(Random.State.int st (Array.length vs)) in
-    if src <> dst then begin
-      let tr = Fleet.route f ~src (Prefix.network (Fleet.prefix_of f dst)) in
-      Alcotest.(check bool) "valley-free" true
-        (Valley.is_valley_free topo tr.Fleet.hops)
-    end
-  done
-
-let test_fleet_origin_lookup () =
-  let f = Lazy.force fleet in
-  let topo = Fleet.topology f in
-  Array.iter
-    (fun v ->
-      Alcotest.(check (option int)) "origin" (Some v)
-        (Fleet.origin_of f (Prefix.network (Fleet.prefix_of f v))))
-    (Topology.vertices topo)
-
-let test_fleet_self_delivery () =
-  let f = Lazy.force fleet in
-  let tr = Fleet.route f ~src:0 (Prefix.network (Fleet.prefix_of f 0)) in
-  Alcotest.(check bool) "trivial" true
-    (tr.Fleet.outcome = `Delivered && tr.Fleet.hops = [ 0 ])
-
 (* --- Traffic --------------------------------------------------------------- *)
 
 let test_traffic_no_event_no_loss () =
@@ -245,6 +190,56 @@ let test_traffic_counts_losses () =
         (b.Traffic.delivered >= 0. && b.Traffic.looped >= 0.
         && b.Traffic.blackholed >= 0.))
     s.Traffic.buckets
+
+(* Every checkpoint is counted once: the probe runs exactly as often as the
+   transient monitor takes checkpoints on the same scripted simulation. *)
+let test_traffic_probes_once_per_checkpoint () =
+  let scripted () =
+    let sim = Sim.create () in
+    List.iter
+      (fun d -> Sim.schedule sim ~delay:d (fun _ -> ()))
+      [ 0.01; 0.05; 0.07; 1.3; 2.5 ];
+    sim
+  in
+  let calls = ref 0 in
+  let s =
+    Traffic.observe (scripted ())
+      ~probe:(fun () ->
+        incr calls;
+        [| Fwd_walk.Delivered; Fwd_walk.Looped |])
+      ()
+  in
+  let o, _ =
+    Transient.run_guarded (scripted ())
+      ~probe:(fun () -> [| Fwd_walk.Delivered; Fwd_walk.Looped |])
+      ()
+  in
+  Alcotest.(check int) "one probe per checkpoint" o.Transient.checkpoints
+    !calls;
+  Alcotest.(check int) "one loss per probe" !calls s.Traffic.loss_events
+
+(* An initial convergence killed by the budget injects nothing and observes
+   nothing. *)
+let test_run_traffic_initial_budget () =
+  let topo = Test_support.diamond_plus () in
+  let vtx = Test_support.vtx topo in
+  let spec =
+    {
+      Scenario.dest = vtx 3;
+      events = [ Scenario.Fail_link (vtx 3, vtx 1) ];
+      detect_delay = None;
+    }
+  in
+  let s =
+    Runner.run_traffic ~validate:`Off
+      ~budget:{ Runner.max_events = 5; max_vtime = 86_400. }
+      Runner.Bgp topo spec
+  in
+  Alcotest.(check bool) "no buckets" true (s.Traffic.buckets = []);
+  Alcotest.(check int) "no losses" 0 s.Traffic.loss_events;
+  Alcotest.(check int) "no loops" 0 s.Traffic.loop_events;
+  Alcotest.(check string) "verdict" "event-budget-exhausted"
+    (Sim.verdict_name s.Traffic.verdict)
 
 (* --- Vantage ------------------------------------------------------------------ *)
 
@@ -340,18 +335,14 @@ let () =
           Alcotest.test_case "to_list sorted" `Quick test_lpm_to_list_sorted;
           prop_lpm_matches_linear_scan;
         ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "any-to-any" `Quick test_fleet_any_to_any;
-          Alcotest.test_case "valley-free paths" `Quick
-            test_fleet_paths_valley_free;
-          Alcotest.test_case "origin lookup" `Quick test_fleet_origin_lookup;
-          Alcotest.test_case "self delivery" `Quick test_fleet_self_delivery;
-        ] );
       ( "traffic",
         [
           Alcotest.test_case "no event no loss" `Quick test_traffic_no_event_no_loss;
           Alcotest.test_case "counts losses" `Quick test_traffic_counts_losses;
+          Alcotest.test_case "one probe per checkpoint" `Quick
+            test_traffic_probes_once_per_checkpoint;
+          Alcotest.test_case "killed initial convergence" `Quick
+            test_run_traffic_initial_budget;
         ] );
       ( "vantage",
         [

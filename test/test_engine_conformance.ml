@@ -1,5 +1,5 @@
 (* Conformance suite for the engine substrate: every engine in
-   Engine.Registry is driven through the same lifecycle matrix — origin
+   Runner.engines is driven through the same lifecycle matrix — origin
    announce, link fail -> recover, node fail -> recover, export
    deny -> allow, and slow failure detection — and must quiesce with a
    drained event queue, loop-free forwarding restored for every source,
@@ -79,7 +79,7 @@ let test_lifecycle_matrix () =
           let sim = Sim.create ~seed:7 () in
           let config = { Engine.default_config with seed = 7; detect_delay } in
           let inst = Engine.create engine sim t ~dest config in
-          Alcotest.(check string) (label ^ ": name matches registry key")
+          Alcotest.(check string) (label ^ ": name matches its key")
             engine_name (Engine.name inst);
           Engine.start inst;
           check_quiesced (label ^ " (initial)") sim;
@@ -106,40 +106,35 @@ let test_lifecycle_matrix () =
                 (Format.asprintf "%a" Fwd_walk.pp_status s))
             statuses)
         (matrix t ~dest))
-    (Engine.Registry.all ())
+    Runner.engines
 
-let test_registry_contents () =
-  let names = Engine.Registry.names () in
-  List.iter
-    (fun expected ->
-      Alcotest.(check bool) (expected ^ " registered") true
-        (List.mem expected names);
-      Alcotest.(check bool) (expected ^ " findable") true
-        (Option.is_some (Engine.Registry.find expected)))
+let test_engine_list () =
+  Alcotest.(check (list string))
+    "the paper engines in bar order, then the hybrid"
     [
       "BGP";
       "R-BGP without RCI";
       "R-BGP";
       "STAMP";
       "STAMP-BGP hybrid (full deployment)";
-    ];
+    ]
+    (List.map fst Runner.engines);
+  List.iter
+    (fun (name, (module E : Engine.S)) ->
+      Alcotest.(check string) "key = engine name" name E.name)
+    Runner.engines;
   (* the paper protocols resolve to the same engines Runner uses *)
   List.iter
     (fun protocol ->
       let (module E : Engine.S) = Runner.engine_of_protocol protocol in
       Alcotest.(check string) "protocol name = engine name"
         (Runner.protocol_name protocol) E.name)
-    Runner.all_protocols;
-  (* re-registration by the same name is ignored, not duplicated *)
-  let before = List.length (Engine.Registry.names ()) in
-  Engine.Registry.register Bgp_engine.engine;
-  Alcotest.(check int) "re-registration is idempotent" before
-    (List.length (Engine.Registry.names ()))
+    Runner.all_protocols
 
 (* A restricted engine: link events only, everything else rejected via
    Engine.unsupported. The generic Runner must surface that as a clear
    Invalid_argument naming the engine and the event kind — the error path
-   that replaced run_hybrid's hand-written pre-validation. *)
+   for engines that model only part of the event vocabulary. *)
 let stub_name = "stub (link events only)"
 
 let stub : (module Engine.S) =
@@ -218,7 +213,7 @@ let test_detect_delay_uniform () =
       Alcotest.(check int) (engine_name ^ ": drained after delayed detection")
         0 (Sim.pending sim);
       check_counters (engine_name ^ " (delayed detection)") inst)
-    (Engine.Registry.all ())
+    Runner.engines
 
 let () =
   Alcotest.run "engine_conformance"
@@ -230,9 +225,9 @@ let () =
           Alcotest.test_case "detect_delay accepted uniformly" `Quick
             test_detect_delay_uniform;
         ] );
-      ( "registry",
-        [ Alcotest.test_case "contents and idempotence" `Quick
-            test_registry_contents ] );
+      ( "engines",
+        [ Alcotest.test_case "contents and bar order" `Quick test_engine_list ]
+      );
       ( "errors",
         [
           Alcotest.test_case "unsupported events -> clear Invalid_argument"

@@ -121,8 +121,8 @@ let prop_partial_never_worse_than_bgp =
       let tiers = Tiers.classify t in
       let bgp = Runner.run ~seed:p.Topo_gen.seed Runner.Bgp t spec in
       let hybrid =
-        Runner.run_hybrid ~seed:p.Topo_gen.seed
-          ~deployed:(fun v -> tiers.(v) <= 1)
+        Runner.run_engine ~seed:p.Topo_gen.seed
+          (Hybrid_engine.make ~deployed:(fun v -> tiers.(v) <= 1) ())
           t spec
       in
       hybrid.Runner.transient_count <= bgp.Runner.transient_count)
@@ -131,7 +131,7 @@ let test_full_deployment_converges_and_delivers () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:150 ()) in
   let st = Random.State.make [| 4 |] in
   let spec = Scenario.single_link st t in
-  let r = Runner.run_hybrid ~deployed:(fun _ -> true) t spec in
+  let r = Runner.run_engine Hybrid_engine.full t spec in
   Alcotest.(check int) "no permanent loss" 0 r.Runner.broken_after
 
 let () =

@@ -95,6 +95,17 @@ let rules =
       allowed = (fun _ -> false);
       why = "libraries log via Logs or return data; only bin//bench/ print";
     };
+    (* Every forwarding-plane measurement folds over Transient.watch, the
+       one loop that drives a simulation in checkpoint slices; a second
+       slice loop would drift from it (the Traffic loop once probed the
+       final state twice). *)
+    {
+      name = "one checkpoint loop in lib/";
+      patterns = [ "Sim.run ~until" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "analysis/transient.ml" ];
+      why = "fold over Transient.watch instead of slicing Sim.run";
+    };
     (* Obj.magic defeats the type system wholesale; nothing in a
        simulator of this size justifies it. *)
     {

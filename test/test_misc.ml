@@ -202,12 +202,12 @@ let test_runner_stamp_variants_complete () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:100 ()) in
   let st = Random.State.make [| 3 |] in
   let spec = Scenario.single_link st t in
-  let baseline = Runner.run_stamp ~seed:1 t spec in
-  let spread = Runner.run_stamp ~seed:1 ~spread_unlocked_blue:true t spec in
+  let run engine = Runner.run_engine ~seed:1 engine t spec in
+  let baseline = run (Stamp_engine.make ()) in
+  let spread = run (Stamp_engine.make ~spread_unlocked_blue:true ()) in
   let smart =
-    Runner.run_stamp ~seed:1
-      ~strategy:(Coloring.Intelligent { samples = 10 })
-      t spec
+    run
+      (Stamp_engine.make ~strategy:(Coloring.Intelligent { samples = 10 }) ())
   in
   List.iter
     (fun (r : Runner.result) ->

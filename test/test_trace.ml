@@ -2,8 +2,8 @@
    and diffing, golden traces for the diamond_plus fixture, trace
    well-formedness invariants, and the differential guarantee the
    Timeline module advertises — its aggregates reconstructed from the
-   trace alone equal the Runner's own measurements, for every registered
-   engine.
+   trace alone equal the Runner's own measurements, for every engine in
+   Runner.engines.
 
    Regenerate the golden traces after a deliberate protocol change with
 
@@ -272,7 +272,7 @@ let test_null_sink_bit_identity () =
           Alcotest.(check bool) (label ^ ": memory runs carry a timeline") true
             (memory.Runner.timeline <> None))
         scenarios)
-    (Engine.Registry.all ())
+    Runner.engines
 
 (* --- well-formedness invariants ----------------------------------------- *)
 
@@ -445,10 +445,10 @@ let test_differential_diamond () =
             (Sim.verdict_name r.Runner.verdict);
           check_timeline_matches ~label:(engine_name ^ "/" ^ scenario_name) r)
         (golden_scenarios topo))
-    (Engine.Registry.all ())
+    Runner.engines
 
-(* Registry-driven differential property over generated topologies: for
-   every registered engine on a random single-link instance, the trace
+(* Differential property over generated topologies: for every engine in
+   Runner.engines on a random single-link instance, the trace
    must be well-formed and the reconstructed timeline must equal the
    Runner's aggregates. *)
 let differential_prop (params : Topo_gen.params) =
@@ -464,7 +464,7 @@ let differential_prop (params : Topo_gen.params) =
       in
       check_well_formed ~label:engine_name r (Trace.events sink);
       check_timeline_matches ~label:engine_name r)
-    (Engine.Registry.all ());
+    Runner.engines;
   true
 
 let test_differential_generated =
