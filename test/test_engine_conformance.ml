@@ -4,7 +4,17 @@
    deny -> allow, and slow failure detection — and must quiesce with a
    drained event queue, loop-free forwarding restored for every source,
    and counters consistent with its message totals. A stub engine that
-   rejects whole event classes pins the generic Runner's error path. *)
+   rejects whole event classes pins the generic Runner's error path.
+
+   Characterisation pins: every engine, plus a tier <= 1 partial
+   deployment, on seven scenario families x two detection delays x two
+   generated graphs, one line per run with the MD5 of its normalised trace
+   (engine ids blanked) and its canonical result, stored in
+   test/golden/engine_pins.txt. Regenerate after a deliberate change with
+
+     ENGINE_PINS=$PWD/test/golden dune exec test/test_engine_conformance.exe
+
+   and name the rows that moved in the commit. *)
 
 let vtx = Test_support.vtx
 
@@ -215,6 +225,161 @@ let test_detect_delay_uniform () =
       check_counters (engine_name ^ " (delayed detection)") inst)
     Runner.engines
 
+(* --- characterisation pins --------------------------------------------- *)
+
+(* Stable stems, not display names; [List.combine] fails loudly if the
+   engine list changes. *)
+let pin_engines topo =
+  let tiers = Tiers.classify topo in
+  List.combine
+    [ "bgp"; "rbgp_norci"; "rbgp"; "stamp"; "hybrid_full" ]
+    (List.map snd Runner.engines)
+  @ [ ("hybrid_t1", Hybrid_engine.make ~deployed:(fun v -> tiers.(v) <= 1) ()) ]
+
+let undo = function
+  | Scenario.Fail_link (u, v) -> Scenario.Recover_link (u, v)
+  | Scenario.Fail_node v -> Scenario.Recover_node v
+  | Scenario.Deny_export (u, v) -> Scenario.Allow_export (u, v)
+  | _ -> invalid_arg "undo: not a disturbance"
+
+(* The disturbance, undone 40 s later. *)
+let undone (spec : Scenario.spec) =
+  {
+    spec with
+    events =
+      spec.events @ List.map (fun e -> Scenario.At (40., undo e)) spec.events;
+  }
+
+(* A non-destination AS with customers stops exporting to every neighbour.
+   Unlike [Scenario.policy_withdraw]'s origin, it holds routes (and R-BGP
+   failover paths) of its own to withdraw. *)
+let transit_export st topo (spec : Scenario.spec) =
+  let n = Topology.num_vertices topo in
+  let rec pick () =
+    let v = Random.State.int st n in
+    if v <> spec.dest && Array.length (Topology.customers topo v) > 0 then v
+    else pick ()
+  in
+  let v = pick () in
+  undone
+    {
+      spec with
+      events =
+        Array.to_list
+          (Array.map
+             (fun (w, _) -> Scenario.Deny_export (v, w))
+             (Topology.neighbors topo v));
+    }
+
+let pin_scenarios topo =
+  let st = Random.State.make [| 2008 |] in
+  let link = Scenario.single_link st topo in
+  let link_recover = undone (Scenario.single_link st topo) in
+  let node_recover = undone (Scenario.node_failure st topo) in
+  let export_allow = undone (Scenario.policy_withdraw st topo) in
+  let churn = Scenario.churn ~rate:0.05 ~duration:600. st topo in
+  let fast_churn = Scenario.churn ~rate:1. ~duration:30. st topo in
+  let transit = transit_export st topo (Scenario.single_link st topo) in
+  [
+    ("link", link);
+    ("link-recover", link_recover);
+    ("node-recover", node_recover);
+    ("export-allow", export_allow);
+    ("churn", churn);
+    ("fast-churn", fast_churn);
+    ("transit-export", transit);
+  ]
+
+let canonical (r : Runner.result) =
+  let c = r.counters in
+  Printf.sprintf
+    "transients=%d broken=%d convergence=%.17g recovery=%.17g messages=%d+%d \
+     checkpoints=%d announcements=%d withdrawals=%d mrai_deferrals=%d \
+     lost_to_resets=%d verdict=%s"
+    r.transient_count r.broken_after r.convergence_delay r.recovery_delay
+    r.messages_initial r.messages_event r.checkpoints c.announcements
+    c.withdrawals c.mrai_deferrals c.lost_to_resets
+    (Sim.verdict_name r.verdict)
+
+let trace_digest events =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun e ->
+      Buffer.add_string buf (Trace.to_json e);
+      Buffer.add_char buf '\n')
+    (Trace.normalize
+       (List.map (fun (e : Trace.event) -> { e with engine = "" }) events));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (key, "<trace md5> <canonical result>") for every pinned run. *)
+let pin_rows () =
+  List.concat_map
+    (fun n ->
+      let topo = Topo_gen.generate (Topo_gen.default_params ~seed:3 ~n ()) in
+      let scenarios = pin_scenarios topo in
+      List.concat_map
+        (fun detect_delay ->
+          List.concat_map
+            (fun (family, spec) ->
+              List.map
+                (fun (stem, engine) ->
+                  let trace = Trace.memory () in
+                  let r =
+                    Runner.run_engine ~seed:11 ~detect_delay ~validate:`Off
+                      ~trace engine topo spec
+                  in
+                  ( Printf.sprintf "n%d/d%g/%s/%s" n detect_delay family stem,
+                    trace_digest (Trace.events trace) ^ " " ^ canonical r ))
+                (pin_engines topo))
+            scenarios)
+        [ 0.; 1.5 ])
+    [ 60; 120 ]
+
+let pins_file = "engine_pins.txt"
+
+let read_pins dir =
+  In_channel.with_open_text (Filename.concat dir pins_file) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i ->
+           Some
+             ( String.sub line 0 i,
+               String.sub line (i + 1) (String.length line - i - 1) )
+         | None -> None)
+
+let test_engine_pins () =
+  let rows = pin_rows () in
+  match Sys.getenv_opt "ENGINE_PINS" with
+  | Some dir ->
+    Out_channel.with_open_text (Filename.concat dir pins_file) (fun oc ->
+        List.iter (fun (k, v) -> Printf.fprintf oc "%s %s\n" k v) rows);
+    Format.eprintf "regenerated %s under %s@." pins_file dir
+  | None ->
+    let dir =
+      match
+        List.find_opt Sys.file_exists
+          [ "golden"; "test/golden"; "../test/golden" ]
+      with
+      | Some d -> d
+      | None ->
+        Alcotest.fail
+          "test/golden not found (missing source_tree dep in test/dune?)"
+    in
+    let want = read_pins dir in
+    Alcotest.(check (list string))
+      "pinned runs" (List.map fst want) (List.map fst rows);
+    let moved = List.filter (fun (k, v) -> List.assoc k want <> v) rows in
+    List.iter
+      (fun (k, v) ->
+        Format.eprintf "moved %s@.  want %s@.  got  %s@." k
+          (List.assoc k want) v)
+      moved;
+    Alcotest.(check (list string))
+      "runs that differ from their pin (regenerate with \
+       ENGINE_PINS=$PWD/test/golden after a deliberate change)"
+      [] (List.map fst moved)
+
 let () =
   Alcotest.run "engine_conformance"
     [
@@ -228,6 +393,11 @@ let () =
       ( "engines",
         [ Alcotest.test_case "contents and bar order" `Quick test_engine_list ]
       );
+      ( "pins",
+        [
+          Alcotest.test_case "traces and results, every engine" `Quick
+            test_engine_pins;
+        ] );
       ( "errors",
         [
           Alcotest.test_case "unsupported events -> clear Invalid_argument"
