@@ -105,7 +105,7 @@ let partial_deployment_dynamic ?pool ?(instances = 10) ?(seed = 1)
   let ks = List.init (max_tier + 1) Fun.id in
   sweep ?pool ~seed ~specs ks (fun k ~seed spec ->
       Runner.run_engine ~seed ~mrai_base
-        (Hybrid_engine.make ~deployed:(fun v -> tiers.(v) <= k) ())
+        (Bgp_engine.hybrid ~deployed:(fun v -> tiers.(v) <= k) ())
         topo spec)
   |> List.map (fun (k, rs) -> (k, mean_transients rs))
 

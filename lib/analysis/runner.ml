@@ -17,7 +17,7 @@ let engine_of_protocol : protocol -> (module Engine.S) = function
 let engines =
   List.map
     (fun ((module E : Engine.S) as engine) -> (E.name, engine))
-    (List.map engine_of_protocol all_protocols @ [ Hybrid_engine.full ])
+    (List.map engine_of_protocol all_protocols @ [ Bgp_engine.hybrid_full ])
 
 type budget = { max_events : int; max_vtime : float }
 

@@ -1,210 +1,214 @@
 type msg = Announce of Topology.vertex list | Withdraw
 
-type router = {
-  v : Topology.vertex;
-  mutable best : Route.t option;
-  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
-  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
-      (** neighbours this router's policy currently forbids exporting to *)
-}
-
 type t = {
   core : msg Session_core.t;
   topo : Topology.t;
   dest : Topology.vertex;
-  routers : router array;
+  procs : (Route.t, Topology.vertex list) Process.t array;
+  export_deny : (Topology.vertex, unit) Hashtbl.t array;
+      (** per AS: neighbours its policy currently forbids exporting to *)
+  upgraded : bool array;
+  backup : Route.t option array;  (** upgraded ASes only: the blue table *)
+  num_states : int;  (** packet states: 2 when some AS is upgraded, else 1 *)
   mutable route_changes : int;
 }
 
 let sim t = Session_core.sim t.core
 let topology t = t.topo
 let dest t = t.dest
-
-let rel_exn t u v =
-  match Topology.rel t.topo u v with
-  | Some r -> r
-  | None -> invalid_arg "Bgp_net: vertices not adjacent"
+let is_deployed t v = t.upgraded.(v)
 
 (* --- advertisement: policy on top of the shared skeleton ------------- *)
 
-let rec advertise_to t r n =
+let rec advertise_to t v n =
+  let p = t.procs.(v) in
   let desired =
-    match r.best with
-    | Some b
-      when Route.learned_from b <> Some n
-           && Export.exportable b ~to_rel:(rel_exn t r.v n)
-           && not (Hashtbl.mem r.export_deny n) ->
-      Some (r.v :: b.as_path)
-    | Some _ | None -> None
+    if Hashtbl.mem t.export_deny.(v) n then None
+    else Process.export p ~to_:n ~to_rel:(Session_core.rel t.core v n)
   in
-  Session_core.advertise t.core ~src:r.v ~dst:n ~rib_out:r.rib_out ~desired
+  Session_core.advertise t.core ~src:v ~dst:n ~rib_out:p.rib_out ~desired
     ~announce:(fun p -> Announce p)
     ~withdraw:(fun () -> Withdraw)
-    ~retry:(fun () -> advertise_to t r n)
+    ~retry:(fun () -> advertise_to t v n)
     ()
 
-let advertise_all t r =
-  Array.iter (fun (n, _) -> advertise_to t r n) (Topology.neighbors t.topo r.v)
+let advertise_all t v =
+  Array.iter (fun (n, _) -> advertise_to t v n) (Topology.neighbors t.topo v)
+
+(* --- the blue table of an upgraded AS ---------------------------------- *)
+
+(* The RIB alternate most downhill-disjoint from the best route. *)
+let recompute_backup t v =
+  if t.upgraded.(v) then begin
+    let p = t.procs.(v) in
+    let backup =
+      match p.best with
+      | None -> None
+      | Some best ->
+        let downhill path =
+          match Valley.decompose t.topo path with
+          | _, down -> down
+          | exception Invalid_argument _ -> path
+        in
+        let best_down = downhill (v :: best.as_path) in
+        Process.alternate p ~score:(fun (alt : Route.t) ->
+            List.length
+              (List.filter
+                 (fun x -> x <> t.dest && List.mem x best_down)
+                 (downhill (v :: alt.as_path))))
+    in
+    if backup <> t.backup.(v) then begin
+      t.backup.(v) <- backup;
+      Session_core.touch_fwd t.core
+    end
+  end
 
 (* --- decision ------------------------------------------------------ *)
 
-(* Why the old and new best differed, for the trace. *)
-let decision_cause ~old_best ~new_best =
-  match (old_best, new_best) with
-  | _, None -> "route-loss"
-  | None, Some _ -> "route-learned"
-  | Some _, Some _ -> "route-change"
-
-let recompute t r =
-  let best' =
-    if r.v = t.dest then Some Route.origin else Decision.select_tbl r.adj_rib_in
-  in
-  if best' <> r.best then begin
-    let old_next = Option.bind r.best Route.learned_from in
-    let cause = decision_cause ~old_best:r.best ~new_best:best' in
-    r.best <- best';
-    Session_core.note_decision t.core ~node:r.v ~old_next
-      ~new_next:(Option.bind best' Route.learned_from)
-      ~cause;
-    t.route_changes <- t.route_changes + 1;
-    advertise_all t r
-  end
+let recompute t v =
+  let p = t.procs.(v) in
+  let best' = if v = t.dest then Some Route.origin else Process.select p in
+  let changed = Process.decide p t.core best' in
+  if changed then t.route_changes <- t.route_changes + 1;
+  recompute_backup t v;
+  if changed then advertise_all t v
 
 (* --- receiving ----------------------------------------------------- *)
 
-let receive t r ~from msg =
-  if Session_core.node_up t.core r.v then begin
+let receive t v ~from msg =
+  if Session_core.node_up t.core v then begin
+    let p = t.procs.(v) in
     (match msg with
     | Announce path ->
-      if List.mem r.v path then
-        (* own AS in path: discard, dropping any previous route from the
-           peer (implicit withdraw) *)
-        Hashtbl.remove r.adj_rib_in from
-      else
-        Hashtbl.replace r.adj_rib_in from
-          { Route.as_path = path; cls = rel_exn t r.v from }
-    | Withdraw -> Hashtbl.remove r.adj_rib_in from);
-    recompute t r
+      Process.learn p ~from
+        { Route.as_path = path; cls = Session_core.rel t.core v from }
+    | Withdraw -> Hashtbl.remove p.adj_rib_in from);
+    recompute t v
   end
 
 (* --- construction -------------------------------------------------- *)
 
-let create sim topo ~dest ?(mrai_base = 30.) ?(delay_lo = 0.010)
-    ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(trace = Trace.null) () =
+let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
+    ?(delay_lo = 0.010) ?(delay_hi = 0.020) ?(detect_delay = 0.)
+    ?(trace = Trace.null) () =
   let n = Topology.num_vertices topo in
   if dest < 0 || dest >= n then invalid_arg "Bgp_net.create: bad destination";
-  let routers =
-    Array.init n (fun v ->
-        {
-          v;
-          best = None;
-          adj_rib_in = Hashtbl.create 8;
-          rib_out = Hashtbl.create 8;
-          export_deny = Hashtbl.create 2;
-        })
-  in
+  let upgraded = Array.init n deployed in
   let core =
     Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~trace
       ~who:"Bgp_net" sim topo
   in
-  let t = { core; topo; dest; routers; route_changes = 0 } in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t t.routers.(dst) ~from:src msg);
+  let t =
+    {
+      core;
+      topo;
+      dest;
+      procs = Array.init n (fun v -> Process.create v ~route:Fun.id);
+      export_deny = Array.init n (fun _ -> Hashtbl.create 2);
+      upgraded;
+      backup = Array.make n None;
+      num_states = (if Array.exists Fun.id upgraded then 2 else 1);
+      route_changes = 0;
+    }
+  in
+  Session_core.on_receive core (fun ~src ~dst msg -> receive t dst ~from:src msg);
   t
 
-let start t = recompute t t.routers.(t.dest)
+let start t = recompute t t.dest
 
 (* --- failures ------------------------------------------------------ *)
 
-let drop_session t u v =
-  let ru = t.routers.(u) and rv = t.routers.(v) in
-  Hashtbl.remove ru.adj_rib_in v;
-  Hashtbl.remove ru.rib_out v;
-  Hashtbl.remove rv.adj_rib_in u;
-  Hashtbl.remove rv.rib_out u
-
 let fail_link t u v =
   Session_core.fail_link t.core u v ~react:(fun () ->
-      drop_session t u v;
-      recompute t t.routers.(u);
-      recompute t t.routers.(v))
+      Process.forget t.procs.(u) v;
+      Process.forget t.procs.(v) u;
+      recompute t u;
+      recompute t v)
 
 let recover_link t u v =
   Session_core.recover_link t.core u v ~react:(fun () ->
-      drop_session t u v;
+      Process.forget t.procs.(u) v;
+      Process.forget t.procs.(v) u;
       (* session re-establishes: each side advertises its current best *)
-      advertise_to t t.routers.(u) v;
-      advertise_to t t.routers.(v) u)
+      advertise_to t u v;
+      advertise_to t v u)
 
 let fail_node t v =
   Session_core.fail_node t.core v;
-  let r = t.routers.(v) in
-  Hashtbl.reset r.adj_rib_in;
-  Hashtbl.reset r.rib_out;
-  r.best <- None;
+  Process.clear t.procs.(v);
+  t.backup.(v) <- None;
   Array.iter
     (fun (n, _) ->
-      let rn = t.routers.(n) in
-      Hashtbl.remove rn.adj_rib_in v;
-      Hashtbl.remove rn.rib_out v;
-      recompute t rn)
+      Process.forget t.procs.(n) v;
+      recompute t n)
     (Topology.neighbors t.topo v)
 
 let recover_node t v =
   Session_core.recover_node t.core v;
-  let r = t.routers.(v) in
   (* re-originates if [v] is the destination; otherwise the RIBs are empty
      and best stays None until neighbours re-announce *)
-  recompute t r;
+  recompute t v;
   Array.iter
     (fun (n, _) ->
       (* sessions re-establish: each side advertises its current best *)
-      advertise_to t t.routers.(n) v;
-      advertise_to t r n)
+      advertise_to t n v;
+      advertise_to t v n)
     (Topology.neighbors t.topo v)
 
 let deny_export t v n =
   Session_core.check_adjacent t.core ~op:"deny_export" v n;
-  Hashtbl.replace t.routers.(v).export_deny n ();
-  advertise_to t t.routers.(v) n
+  Hashtbl.replace t.export_deny.(v) n ();
+  advertise_to t v n
 
 let allow_export t v n =
   Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.routers.(v).export_deny n;
-  advertise_to t t.routers.(v) n
+  Hashtbl.remove t.export_deny.(v) n;
+  advertise_to t v n
 
 (* --- observation ---------------------------------------------------- *)
 
-let best t v = t.routers.(v).best
+let best t v = t.procs.(v).best
+let next_hop t v = Process.next_hop t.procs.(v)
+let backup t v = t.backup.(v)
 
-let next_hop t v =
-  match t.routers.(v).best with None -> None | Some b -> Route.learned_from b
+let has_disjoint_backup t v =
+  match (t.procs.(v).best, t.backup.(v)) with
+  | Some b, Some a ->
+    Valley.downhill_disjoint t.topo (v :: b.as_path) (v :: a.as_path)
+  | _ -> false
 
-let to_table t : Static_route.table =
-  Array.map
-    (fun r ->
-      match r.best with
-      | None -> None
-      | Some (b : Route.t) ->
-        Some { Static_route.as_path = b.as_path; cls = b.cls })
-    t.routers
+let to_table t = Process.table t.procs
 
-(* One packet state; a step returns the next hop itself as its code. *)
+(* Packet states: 0 = primary, 1 = re-coloured onto a backup; with no AS
+   upgraded only state 0 exists, and a step returns the next hop itself. *)
 let walk_fresh t =
   let links = Session_core.links t.core in
-  let step v _ =
+  let k = t.num_states in
+  let step v s =
     if not (Link_state.node_up links v) then Fwd_walk.drop
-    else
-      match t.routers.(v).best with
-      | Some { Route.as_path = nh :: _; _ } when Link_state.link_up links v nh
-        ->
-        nh
-      | Some _ | None -> Fwd_walk.drop
+    else begin
+      let nh = Process.next_hop_up t.procs.(v) links in
+      (* a packet follows best routes, keeping its state. A re-coloured
+         one does too: the backup was an advertised route of the
+         deflection neighbour, so its hops are exactly the downstream best
+         chain. Following other ASes' backups instead would compose
+         unrelated local picks (two neighbouring backups can point at each
+         other). One deflection per packet, as in Section 5. *)
+      if nh >= 0 then (k * nh) + s
+      else if s = 0 && t.upgraded.(v) then
+        (* primary missing or physically broken: an upgraded AS
+           re-colours the packet onto its blue table *)
+        match t.backup.(v) with
+        | Some b ->
+          let alt = Process.hop_up links v b in
+          if alt >= 0 then (k * alt) + 1 else Fwd_walk.drop
+        | None -> Fwd_walk.drop
+      else Fwd_walk.drop
+    end
   in
   Fwd_walk.walk_all
     ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~num_states:1
+    ~dest:t.dest ~num_states:k
     ~start:(fun _ -> 0)
     ~step
 

@@ -1,15 +1,37 @@
-(** Event-driven standard-BGP network for a single destination prefix.
+(** Event-driven standard-BGP network for a single destination prefix,
+    optionally with STAMP partially deployed.
 
-    One router per AS, one ordered {!Channel} per directed link, delays
-    uniform in [10 ms, 20 ms], per-peer MRAI of 30 s × U[0.75, 1.0] applied
-    to announcements (withdrawals are immediate). Policies are the paper's:
-    prefer-customer selection ({!Decision}) and valley-free export
-    ({!Export}), which make the protocol safe (Gao–Rexford), so every run
-    terminates with a drained event queue.
+    One router per AS, each running one {!Process}; one ordered {!Channel}
+    per directed link, delays uniform in [10 ms, 20 ms], per-peer MRAI of
+    30 s × U[0.75, 1.0] applied to announcements (withdrawals are
+    immediate). Policies are the paper's: prefer-customer selection
+    ({!Decision}) and valley-free export ({!Export}), which make the
+    protocol safe (Gao–Rexford), so every run terminates with a drained
+    event queue.
 
     Failures are injected through {!fail_link} / {!fail_node}; adjacent
     routers react immediately (session reset: RIB entries from the peer are
-    flushed and in-flight messages on the link are lost). *)
+    flushed and in-flight messages on the link are lost).
+
+    {b Partial deployment} (the dynamic counterpart of Section 6.3's
+    tier-1-only analysis). Below full deployment, STAMP's coordinated
+    announcement rules cannot run end to end — a locked blue chain breaks
+    at the first legacy hop, and any deviation of the advertised routes
+    from plain BGP turns out to inject extra convergence churn into the
+    legacy region (we measured this; see DESIGN.md). What a partially
+    deployed AS {e can} soundly do is exactly what the paper's Section 5
+    requires of routers: keep a second, maximally downhill-disjoint route
+    from its RIB as a local {e blue table}, detect that its primary is
+    disturbed, and re-colour packets onto the backup — at most once per
+    packet. The ASes [create]'s [deployed] selects are upgraded this way;
+    the control plane stays byte-for-byte plain BGP (so partial deployment
+    can never make routing worse), and the backup candidates are ordinary
+    advertised routes, so forwarding through legacy neighbours follows the
+    very paths they advertised. An upgraded AS therefore provides the
+    protection the static analysis counts — "two downhill node-disjoint
+    paths" — whenever its RIB holds a disjoint alternate, which for tier-1
+    ASes is the paper's ≈ 75 % of destinations. Plain BGP is the case with
+    no AS upgraded. *)
 
 type t
 
@@ -17,6 +39,7 @@ val create :
   Sim.t ->
   Topology.t ->
   dest:Topology.vertex ->
+  ?deployed:(Topology.vertex -> bool) ->
   ?mrai_base:float ->
   ?delay_lo:float ->
   ?delay_hi:float ->
@@ -25,9 +48,10 @@ val create :
   unit ->
   t
 (** Build routers and channels ({!Session_core}). Nothing is announced
-    until {!start}. [trace] (default {!Trace.null}) receives the session
-    substrate's events plus per-router decision changes.
-    [detect_delay] (default 0 — instantaneous detection)
+    until {!start}. [deployed] (default: no AS) selects the upgraded ASes,
+    which keep a backup route (see {!backup}). [trace] (default
+    {!Trace.null}) receives the session substrate's events plus per-router
+    decision changes. [detect_delay] (default 0 — instantaneous detection)
     postpones the control-plane reaction to every subsequent {!fail_link}
     while the data plane is already broken. *)
 
@@ -38,6 +62,9 @@ val start : t -> unit
 val sim : t -> Sim.t
 val topology : t -> Topology.t
 val dest : t -> Topology.vertex
+
+val is_deployed : t -> Topology.vertex -> bool
+(** Whether the AS is upgraded (keeps a backup route). *)
 
 (** {1 Failure injection} — take effect at the current simulation time. *)
 
@@ -54,7 +81,8 @@ val recover_link : t -> Topology.vertex -> Topology.vertex -> unit
 
 val fail_node : t -> Topology.vertex -> unit
 (** Fail an AS entirely: all its links go down and it stops participating
-    (the paper's single node failure event). *)
+    (the paper's single node failure event); an upgraded AS loses its
+    backup. *)
 
 val recover_node : t -> Topology.vertex -> unit
 (** Bring a failed AS back: its links come up (except those failed
@@ -78,6 +106,17 @@ val best : t -> Topology.vertex -> Route.t option
 
 val next_hop : t -> Topology.vertex -> Topology.vertex option
 
+val backup : t -> Topology.vertex -> Route.t option
+(** The blue table of an upgraded AS: among its RIB routes not learned
+    from the best route's next hop, the one sharing the fewest downhill
+    ASes (except the destination) with the best, then by the decision
+    process. [None] at legacy ASes and when no alternate exists. *)
+
+val has_disjoint_backup : t -> Topology.vertex -> bool
+(** Whether the AS currently holds a backup whose downhill portion is
+    node-disjoint from its best route's (except the destination) — the
+    protection unit the Section 6.3 analysis counts. *)
+
 val to_table : t -> Static_route.table
 (** Snapshot of all current best routes in the oracle's table format, for
     direct comparison with {!Static_route.compute}. *)
@@ -85,7 +124,12 @@ val to_table : t -> Static_route.table
 val walk_all : t -> Fwd_walk.status array
 (** Forwarding-plane status of every AS right now: each AS forwards along
     its current best route; a hop over a failed link or into a failed node
-    drops the packet. The result is cached until the next forwarding
+    drops the packet, unless the AS is upgraded and its backup's next hop
+    is up: it then re-colours the packet onto the backup. From there the
+    packet follows best routes again (the backup is an advertised route of
+    the deflection neighbour, so its hops are the downstream best chain;
+    following other ASes' local backups would compose unrelated picks and
+    can loop). One re-colouring per packet, as in Section 5. The result is cached until the next forwarding
     change ({!Session_core.cached_walk}): it may be the very array an
     earlier call returned, and must not be mutated. *)
 

@@ -15,5 +15,3 @@ let select = function
   | [] -> None
   | r :: rest ->
     Some (List.fold_left (fun acc r -> if better r acc then r else acc) r rest)
-
-let select_tbl tbl = select (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])

@@ -8,7 +8,3 @@ val better : Route.t -> Route.t -> bool
 
 val select : Route.t list -> Route.t option
 (** Best route of a candidate list ([None] on the empty list). *)
-
-val select_tbl : (Topology.vertex, Route.t) Hashtbl.t -> Route.t option
-(** Best route among an Adj-RIB-In table's values. Deterministic regardless
-    of hash order. *)

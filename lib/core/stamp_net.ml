@@ -6,19 +6,14 @@ type body =
 
 type msg = { color : Color.t; body : body }
 
-type process = {
-  adj_rib_in : (Topology.vertex, entry) Hashtbl.t;
-  mutable best : entry option;
-  rib_out : (Topology.vertex, Topology.vertex list * bool) Hashtbl.t;
-      (** what was last announced to each neighbour: (path, lock bit) *)
-  mutable unstable : bool;
-  mutable loss_pending : bool;
-      (** our next updates are consequences of a route loss (ET=0) *)
-}
-
 type router = {
   v : Topology.vertex;
-  procs : process array; (* indexed by Color.to_int *)
+  procs : (entry, Topology.vertex list * bool) Process.t array;
+      (** indexed by Color.to_int; a neighbour hears (path, lock bit) *)
+  unstable : bool array;  (** per colour *)
+  loss_pending : bool array;
+      (** per colour: our next updates are consequences of a route loss
+          (ET=0) *)
   export_deny : (Topology.vertex, unit) Hashtbl.t;
 }
 
@@ -34,24 +29,9 @@ type t = {
 let sim t = Session_core.sim t.core
 let dest t = t.dest
 
-let rel_exn t u v =
-  match Topology.rel t.topo u v with
-  | Some r -> r
-  | None -> invalid_arg "Stamp_net: vertices not adjacent"
-
 let proc r color = r.procs.(Color.to_int color)
 
 (* --- selective announcement ----------------------------------------- *)
-
-(* Whether a process's best may be exported to a neighbour of class
-   [to_rel] under valley-free rules (plus the never-announce-back rule). *)
-let standard_export (e : entry option) ~to_rel ~neighbor =
-  match e with
-  | Some { route; _ }
-    when Route.learned_from route <> Some neighbor
-         && Export.exportable route ~to_rel ->
-    Some route
-  | Some _ | None -> None
 
 let blue_lock_held t r =
   r.v = t.dest
@@ -78,38 +58,29 @@ let alive_provider_count t r =
 
 (* Single-homed origin chains relay both colours upward so the initial
    colouring can happen at the first multi-homed ancestor (footnote 4). *)
-let is_relay t r ~red_best ~blue_best =
+let is_relay t r ~red ~blue =
   alive_provider_count t r = 1
   && (r.v = t.dest
-     ||
-     match (red_best, blue_best) with
-     | Some (r1 : Route.t), Some (r2 : Route.t) ->
-       Route.learned_from r1 = Route.learned_from r2
-     | _ -> false)
+     || red <> None
+        && blue <> None
+        && Process.next_hop (proc r Red) = Process.next_hop (proc r Blue))
 
 (* What should neighbour [n] currently hear from [r] on process [color]?
    Returns the (path, lock) announcement, or None for nothing/withdraw. *)
 let desired t r n color =
-  let to_rel = rel_exn t r.v n in
-  let e = (proc r color).best in
+  let to_rel = Session_core.rel t.core r.v n in
+  let export c = Process.export (proc r c) ~to_:n ~to_rel in
+  let unlocked = Option.map (fun path -> (path, false)) in
   match (to_rel : Relationship.t) with
-  | Customer | Peer | Sibling -> begin
-    match standard_export e ~to_rel ~neighbor:n with
-    | Some route -> Some (r.v :: route.Route.as_path, false)
-    | None -> None
-  end
+  | Customer | Peer | Sibling -> unlocked (export color)
   | Provider -> begin
-    let red_best =
-      standard_export (proc r Color.Red).best ~to_rel ~neighbor:n
-    in
-    let blue_best =
-      standard_export (proc r Color.Blue).best ~to_rel ~neighbor:n
-    in
+    (* the valley-free paths each colour could announce *)
+    let red = export Red and blue = export Blue in
     let lock_held = blue_lock_held t r in
     let designated =
-      if lock_held && blue_best <> None then designated_provider t r else None
+      if lock_held && blue <> None then designated_provider t r else None
     in
-    let relay = is_relay t r ~red_best ~blue_best in
+    let relay = is_relay t r ~red ~blue in
     let plan : (Topology.vertex list * bool) option =
       match color with
       | Blue ->
@@ -122,32 +93,34 @@ let desired t r n color =
            still reaches every AS through the locked chain to a tier-1 and
            the unrestricted announcements to customers and peers. *)
         if Some n = designated then
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, true)) blue_best
-        else if t.spread_unlocked_blue && red_best = None && not relay then
+          Option.map (fun path -> (path, true)) blue
+        else if t.spread_unlocked_blue && red = None && not relay then
           (* ablation mode: fill red-less providers with unlocked blue *)
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) blue_best
+          unlocked blue
         else None
       | Red ->
-        if relay then
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) red_best
+        if relay then unlocked red
         else if Some n = designated then None
           (* red yields the locked blue provider *)
-        else Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) red_best
+        else unlocked red
     in
     plan
   end
 
 let rec advertise_to t r n color =
-  let p = proc r color in
+  let c = Color.to_int color in
   let want =
     if Hashtbl.mem r.export_deny n then None else desired t r n color
   in
-  Session_core.advertise t.core ~proc:(Color.to_int color) ~src:r.v ~dst:n
-    ~rib_out:p.rib_out ~desired:want
+  Session_core.advertise t.core ~proc:c ~src:r.v ~dst:n
+    ~rib_out:r.procs.(c).rib_out ~desired:want
     ~announce:(fun (path, lock) ->
-      { color; body = Announce { path; lock; et_ok = not p.loss_pending } })
+      {
+        color;
+        body = Announce { path; lock; et_ok = not r.loss_pending.(c) };
+      })
     ~withdraw:(fun () ->
-      { color; body = Withdraw { et_ok = not p.loss_pending } })
+      { color; body = Withdraw { et_ok = not r.loss_pending.(c) } })
     ~retry:(fun () -> advertise_to t r n color)
     ()
 
@@ -159,56 +132,35 @@ let advertise_all t r =
 
 (* --- decision -------------------------------------------------------- *)
 
+let entry_route e = e.route
+
 let origin_entry color =
   (* the destination's own blue route carries the lock obligation *)
   { route = Route.origin; lock = Color.equal color Color.Blue }
 
-let select_entry tbl =
-  Hashtbl.fold
-    (fun _ (e : entry) acc ->
-      match acc with
-      | None -> Some e
-      | Some cur -> if Decision.better e.route cur.route then Some e else acc)
-    tbl None
+let cause_prefix = function Color.Red -> "red:" | Color.Blue -> "blue:"
 
 (* Recompute one process's best; [loss] says whether the triggering event
    was a route loss (drives the ET attribute and the instability flag).
    Any rib change can alter the provider plan of both colours, so the
    caller re-advertises everything afterwards. *)
 let recompute t r color ~loss =
-  let p = proc r color in
+  let c = Color.to_int color in
+  let p = r.procs.(c) in
   let best' =
-    if r.v = t.dest then Some (origin_entry color) else select_entry p.adj_rib_in
+    if r.v = t.dest then Some (origin_entry color) else Process.select p
   in
-  if best' <> p.best then begin
-    let next e = Option.bind e (fun e -> Route.learned_from e.route) in
-    let old_next = next p.best and new_next = next best' in
-    let cause =
-      Color.to_string color
-      ^
-      match (p.best, best') with
-      | _, None -> ":route-loss"
-      | None, Some _ -> ":route-learned"
-      | Some _, Some _ -> ":route-change"
-    in
-    let was_unstable = p.unstable in
-    p.best <- best';
-    (* also covers the [unstable] flip below: one forwarding-epoch bump *)
-    Session_core.note_decision t.core ~node:r.v ~old_next ~new_next ~cause;
-    if loss then begin
-      p.unstable <- true;
-      p.loss_pending <- true
-    end
-    else begin
-      p.unstable <- false;
-      p.loss_pending <- false
-    end;
+  (* the decision's forwarding-epoch bump also covers the [unstable] flip
+     below *)
+  if Process.decide ~prefix:(cause_prefix color) p t.core best' then begin
+    let was_unstable = r.unstable.(c) in
+    r.unstable.(c) <- loss;
+    r.loss_pending.(c) <- loss;
     (* instability flips re-colour traffic away from (or back onto) this
        process: the ET-bit view of the event, for the trace *)
-    if p.unstable <> was_unstable && Session_core.trace_enabled t.core then
+    if loss <> was_unstable && Session_core.trace_enabled t.core then
       Session_core.emit_node t.core r.v
-        (Trace.Recolor
-           { color = Color.to_string color; et_ok = not p.unstable })
+        (Trace.Recolor { color = Color.to_string color; et_ok = not loss })
   end
 
 let receive t r ~from { color; body } =
@@ -225,10 +177,11 @@ let receive t r ~from { color; body } =
     in
     (match body with
     | Announce { path; lock; _ } ->
-      if List.mem r.v path then Hashtbl.remove p.adj_rib_in from
-      else
-        Hashtbl.replace p.adj_rib_in from
-          { route = { Route.as_path = path; cls = rel_exn t r.v from }; lock }
+      Process.learn p ~from
+        {
+          route = { as_path = path; cls = Session_core.rel t.core r.v from };
+          lock;
+        }
     | Withdraw _ -> Hashtbl.remove p.adj_rib_in from);
     recompute t r color ~loss;
     advertise_all t r
@@ -245,15 +198,9 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
     Array.init n (fun v ->
         {
           v;
-          procs =
-            Array.init 2 (fun _ ->
-                {
-                  adj_rib_in = Hashtbl.create 8;
-                  best = None;
-                  rib_out = Hashtbl.create 8;
-                  unstable = false;
-                  loss_pending = false;
-                });
+          procs = Array.init 2 (fun _ -> Process.create v ~route:entry_route);
+          unstable = Array.make 2 false;
+          loss_pending = Array.make 2 false;
           export_deny = Hashtbl.create 2;
         })
   in
@@ -275,24 +222,21 @@ let start t =
 
 (* --- failures ---------------------------------------------------------- *)
 
+(* Session reset at [r] with [peer]; a process that loses its best route
+   marks the change as a loss. *)
+let reset_session t r peer =
+  List.iter
+    (fun color ->
+      let p = proc r color in
+      let lost_best = Process.next_hop p = Some peer in
+      Process.forget p peer;
+      recompute t r color ~loss:lost_best)
+    Color.all;
+  advertise_all t r
+
 let drop_session t u v =
-  let clear r peer =
-    List.iter
-      (fun color ->
-        let p = proc r color in
-        let lost_best =
-          match p.best with
-          | Some { route; _ } -> Route.learned_from route = Some peer
-          | None -> false
-        in
-        Hashtbl.remove p.adj_rib_in peer;
-        Hashtbl.remove p.rib_out peer;
-        recompute t r color ~loss:lost_best)
-      Color.all;
-    advertise_all t r
-  in
-  clear t.routers.(u) v;
-  clear t.routers.(v) u
+  reset_session t t.routers.(u) v;
+  reset_session t t.routers.(v) u
 
 let fail_link t u v = Session_core.fail_link t.core u v ~react:(fun () -> drop_session t u v)
 
@@ -304,9 +248,7 @@ let recover_link t u v =
       let refresh r peer =
         List.iter
           (fun color ->
-            let p = proc r color in
-            Hashtbl.remove p.adj_rib_in peer;
-            Hashtbl.remove p.rib_out peer;
+            Process.forget (proc r color) peer;
             recompute t r color ~loss:false)
           Color.all;
         advertise_all t r
@@ -317,29 +259,9 @@ let recover_link t u v =
 let fail_node t v =
   Session_core.fail_node t.core v;
   let r = t.routers.(v) in
-  List.iter
-    (fun color ->
-      let p = proc r color in
-      Hashtbl.reset p.adj_rib_in;
-      Hashtbl.reset p.rib_out;
-      p.best <- None)
-    Color.all;
+  Array.iter Process.clear r.procs;
   Array.iter
-    (fun (n, _) ->
-      let rn = t.routers.(n) in
-      List.iter
-        (fun color ->
-          let p = proc rn color in
-          let lost_best =
-            match p.best with
-            | Some { route; _ } -> Route.learned_from route = Some v
-            | None -> false
-          in
-          Hashtbl.remove p.adj_rib_in v;
-          Hashtbl.remove p.rib_out v;
-          recompute t rn color ~loss:lost_best)
-        Color.all;
-      advertise_all t rn)
+    (fun (n, _) -> reset_session t t.routers.(n) v)
     (Topology.neighbors t.topo v)
 
 let recover_node t v =
@@ -348,12 +270,10 @@ let recover_node t v =
   (* the returning router restarts both processes from scratch *)
   List.iter
     (fun color ->
-      let p = proc r color in
-      Hashtbl.reset p.adj_rib_in;
-      Hashtbl.reset p.rib_out;
-      p.best <- None;
-      p.unstable <- false;
-      p.loss_pending <- false;
+      let c = Color.to_int color in
+      Process.clear r.procs.(c);
+      r.unstable.(c) <- false;
+      r.loss_pending.(c) <- false;
       recompute t r color ~loss:false)
     Color.all;
   advertise_all t r;
@@ -365,9 +285,7 @@ let recover_node t v =
       let rn = t.routers.(n) in
       List.iter
         (fun color ->
-          let p = proc rn color in
-          Hashtbl.remove p.adj_rib_in v;
-          Hashtbl.remove p.rib_out v;
+          Process.forget (proc rn color) v;
           recompute t rn color ~loss:false)
         Color.all;
       advertise_all t rn)
@@ -404,7 +322,7 @@ let path t color v =
 
 let has_both t v = best t Color.Red v <> None && best t Color.Blue v <> None
 let blue_is_locked t v = blue_lock_held t t.routers.(v)
-let unstable t color v = (proc t.routers.(v) color).unstable
+let unstable t color v = t.routers.(v).unstable.(Color.to_int color)
 
 let in_use t v =
   match (best t Color.Red v, best t Color.Blue v) with
@@ -421,13 +339,7 @@ let in_use t v =
 let walk_fresh t =
   let links = Session_core.links t.core in
   (* next hop of process [c]'s best route at [v] over a live link, or -1 *)
-  let usable r v c =
-    match r.procs.(c).best with
-    | Some { route = { Route.as_path = nh :: _; _ }; _ }
-      when Link_state.link_up links v nh ->
-      nh
-    | Some _ | None -> -1
-  in
+  let usable r c = Process.next_hop_up r.procs.(c) links in
   let forward nh c ~switched = (nh * 4) + (2 * c) + switched in
   let step v s =
     if not (Link_state.node_up links v) then Fwd_walk.drop
@@ -435,15 +347,15 @@ let walk_fresh t =
       let r = t.routers.(v) in
       let c = s / 2 in
       let other = 1 - c in
-      let nh = usable r v c in
+      let nh = usable r c in
       if s land 1 = 1 then
         (* the packet was already re-coloured once: stick to its colour *)
         if nh >= 0 then forward nh c ~switched:1 else Fwd_walk.drop
-      else if nh >= 0 && not r.procs.(c).unstable then
+      else if nh >= 0 && not r.unstable.(c) then
         forward nh c ~switched:0
       else begin
-        let nh' = usable r v other in
-        if nh' >= 0 && not r.procs.(other).unstable then
+        let nh' = usable r other in
+        if nh' >= 0 && not r.unstable.(other) then
           forward nh' other ~switched:1
         (* both processes disturbed: any process that still has a route
            can be used (Section 5.2) *)
@@ -479,11 +391,5 @@ let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core
 let counters t = Session_core.counters t.core
 
-let to_table t color : Static_route.table =
-  Array.map
-    (fun r ->
-      match (proc r color).best with
-      | None -> None
-      | Some { route; _ } ->
-        Some { Static_route.as_path = route.Route.as_path; cls = route.Route.cls })
-    t.routers
+let to_table t color =
+  Process.table (Array.map (fun r -> proc r color) t.routers)

@@ -185,6 +185,11 @@ let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
       end
   end
 
+let rel core u v =
+  match Topology.rel core.topo u v with
+  | Some r -> r
+  | None -> invalid_arg (core.who ^ ": vertices not adjacent")
+
 let check_adjacent core ~op u v =
   if Topology.rel core.topo u v = None then
     invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op)

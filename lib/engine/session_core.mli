@@ -104,6 +104,11 @@ val recover_link :
 val fail_node : 'msg t -> Topology.vertex -> unit
 val recover_node : 'msg t -> Topology.vertex -> unit
 
+val rel : 'msg t -> Topology.vertex -> Topology.vertex -> Relationship.t
+(** The relationship of the second vertex as seen from the first.
+    @raise Invalid_argument ["<who>: vertices not adjacent"] when the pair
+    shares no link. *)
+
 val check_adjacent :
   'msg t -> op:string -> Topology.vertex -> Topology.vertex -> unit
 (** Validation helper for engine operations on a vertex pair:

@@ -7,13 +7,10 @@ type msg =
       (** [path = None] withdraws a previously advertised failover path *)
 
 type router = {
-  v : Topology.vertex;
-  mutable best : Route.t option;
-  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
+  proc : (Route.t, Topology.vertex list) Process.t;
   failover_rib : (Topology.vertex, Topology.vertex list) Hashtbl.t;
       (** failover paths received: advertiser → pinned path starting at the
           advertiser *)
-  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
   mutable failover_out : (Topology.vertex * Topology.vertex list) option;
       (** (receiver, path) of our currently advertised failover path *)
   mutable withdrawn : Route.t option;
@@ -34,11 +31,6 @@ type t = {
 
 let sim t = Session_core.sim t.core
 let dest t = t.dest
-
-let rel_exn t u v =
-  match Topology.rel t.topo u v with
-  | Some r -> r
-  | None -> invalid_arg "Rbgp_net: vertices not adjacent"
 
 let cause_equal a b =
   match (a, b) with
@@ -62,16 +54,12 @@ let path_hits_cause path cause =
 (* --- primary-route advertisement (shared Session_core skeleton) ------ *)
 
 let rec advertise_to t r n =
+  let p = r.proc in
   let desired =
-    match r.best with
-    | Some b
-      when Route.learned_from b <> Some n
-           && Export.exportable b ~to_rel:(rel_exn t r.v n)
-           && not (Hashtbl.mem r.export_deny n) ->
-      Some (r.v :: b.as_path)
-    | Some _ | None -> None
+    if Hashtbl.mem r.export_deny n then None
+    else Process.export p ~to_:n ~to_rel:(Session_core.rel t.core p.self n)
   in
-  Session_core.advertise t.core ~src:r.v ~dst:n ~rib_out:r.rib_out ~desired
+  Session_core.advertise t.core ~src:p.self ~dst:n ~rib_out:p.rib_out ~desired
     ~announce:(fun path -> Announce { path; rci = r.last_cause })
     ~withdraw:(fun () -> Withdraw { rci = r.last_cause })
     ~retry:(fun () -> advertise_to t r n)
@@ -79,39 +67,29 @@ let rec advertise_to t r n =
 
 (* --- failover-path advertisement ------------------------------------ *)
 
-(* Most disjoint alternate: fewest shared vertices with the best path
-   (the destination is shared by all candidates, so it never affects the
+(* The failover path goes to the best route's next hop: the most disjoint
+   alternate, by fewest vertices shared with the best path (the
+   destination is shared by all candidates, so it never affects the
    ranking), then the decision order. The recipient must not appear in the
    alternate. *)
-let pick_failover r (best : Route.t) ~recipient =
-  let shared (alt : Route.t) =
-    List.length
-      (List.filter (fun x -> List.mem x best.as_path) alt.Route.as_path)
-  in
-  Hashtbl.fold
-    (fun from (alt : Route.t) acc ->
-      if Some from = Route.learned_from best || List.mem recipient alt.as_path
-      then acc
-      else
-        match acc with
-        | None -> Some alt
-        | Some cur ->
-          let s = shared alt and sc = shared cur in
-          if s < sc || (s = sc && Decision.better alt cur) then Some alt
-          else acc)
-    r.adj_rib_in None
-
 let update_failover t r =
+  let p = r.proc in
   let desired =
-    match r.best with
+    match p.best with
     | None -> None
     | Some b -> begin
       match Route.learned_from b with
       | None -> None (* destination itself *)
       | Some nh -> begin
-        match pick_failover r b ~recipient:nh with
+        match
+          Process.alternate p
+            ~admit:(fun alt -> not (Route.contains alt nh))
+            ~score:(fun alt ->
+              List.length
+                (List.filter (fun x -> List.mem x b.as_path) alt.as_path))
+        with
         | None -> None
-        | Some alt -> Some (nh, r.v :: alt.Route.as_path)
+        | Some alt -> Some (nh, p.self :: alt.as_path)
       end
     end
   in
@@ -123,21 +101,23 @@ let update_failover t r =
     (match r.failover_out with
     | Some (prev, _)
       when (match desired with Some (n, _) -> n <> prev | None -> true)
-           && Session_core.link_up t.core r.v prev ->
-      Session_core.send t.core ~src:r.v ~dst:prev ~kind:`Withdraw
+           && Session_core.link_up t.core p.self prev ->
+      Session_core.send t.core ~src:p.self ~dst:prev ~kind:`Withdraw
         (Failover { path = None; rci = r.last_cause })
     | Some _ | None -> ());
     (match desired with
-    | Some (n, p)
-      when Session_core.link_up t.core r.v n
+    | Some (n, path)
+      when Session_core.link_up t.core p.self n
            && not (Hashtbl.mem r.export_deny n) ->
-      Session_core.send t.core ~src:r.v ~dst:n ~kind:`Announce
-        (Failover { path = Some p; rci = r.last_cause })
+      Session_core.send t.core ~src:p.self ~dst:n ~kind:`Announce
+        (Failover { path = Some path; rci = r.last_cause })
     | Some _ | None -> ());
     r.failover_out <- desired
 
 let advertise_all t r =
-  Array.iter (fun (n, _) -> advertise_to t r n) (Topology.neighbors t.topo r.v);
+  Array.iter
+    (fun (n, _) -> advertise_to t r n)
+    (Topology.neighbors t.topo r.proc.self);
   update_failover t r
 
 (* --- RCI purge ------------------------------------------------------- *)
@@ -158,9 +138,9 @@ let learn_cause t r cause =
       Hashtbl.fold
         (fun from (rt : Route.t) acc ->
           if path_hits_cause rt.as_path cause then from :: acc else acc)
-        r.adj_rib_in []
+        r.proc.adj_rib_in []
     in
-    List.iter (Hashtbl.remove r.adj_rib_in) stale_routes;
+    List.iter (Hashtbl.remove r.proc.adj_rib_in) stale_routes;
     Session_core.touch_fwd t.core;
     purge r.failover_rib;
     (match r.withdrawn with
@@ -171,31 +151,20 @@ let learn_cause t r cause =
   r.last_cause <- Some cause
 
 let recompute t r =
-  let best' =
-    if r.v = t.dest then Some Route.origin else Decision.select_tbl r.adj_rib_in
-  in
-  if best' <> r.best then begin
-    let old_next = Option.bind r.best Route.learned_from in
-    let cause =
-      match (r.best, best') with
-      | _, None -> "route-loss"
-      | None, Some _ -> "route-learned"
-      | Some _, Some _ -> "route-change"
-    in
-    (match (r.best, best') with
+  let p = r.proc in
+  let old = p.best in
+  let best' = if p.self = t.dest then Some Route.origin else Process.select p in
+  if Process.decide p t.core best' then begin
+    (match (old, best') with
     | Some old, None -> r.withdrawn <- Some old
     | _, Some _ -> r.withdrawn <- None
     | None, None -> ());
-    r.best <- best';
-    Session_core.note_decision t.core ~node:r.v ~old_next
-      ~new_next:(Option.bind best' Route.learned_from)
-      ~cause;
     advertise_all t r
   end
   else update_failover t r
 
 let receive t r ~from msg =
-  if Session_core.node_up t.core r.v then begin
+  if Session_core.node_up t.core r.proc.self then begin
     let rci =
       match msg with
       | Announce { rci; _ } | Withdraw { rci } | Failover { rci; _ } -> rci
@@ -206,11 +175,11 @@ let receive t r ~from msg =
       let stale =
         t.rci && List.exists (fun c -> path_hits_cause path c) r.known_causes
       in
-      if List.mem r.v path || stale then Hashtbl.remove r.adj_rib_in from
+      if stale then Hashtbl.remove r.proc.adj_rib_in from
       else
-        Hashtbl.replace r.adj_rib_in from
-          { Route.as_path = path; cls = rel_exn t r.v from }
-    | Withdraw _ -> Hashtbl.remove r.adj_rib_in from
+        Process.learn r.proc ~from
+          { as_path = path; cls = Session_core.rel t.core r.proc.self from }
+    | Withdraw _ -> Hashtbl.remove r.proc.adj_rib_in from
     | Failover { path = None; _ } ->
       Session_core.touch_fwd t.core;
       Hashtbl.remove r.failover_rib from
@@ -231,11 +200,8 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
   let routers =
     Array.init n (fun v ->
         {
-          v;
-          best = None;
-          adj_rib_in = Hashtbl.create 8;
+          proc = Process.create v ~route:Fun.id;
           failover_rib = Hashtbl.create 4;
-          rib_out = Hashtbl.create 8;
           failover_out = None;
           withdrawn = None;
           export_deny = Hashtbl.create 2;
@@ -257,14 +223,12 @@ let start t = recompute t t.routers.(t.dest)
 let drop_session t u v =
   let ru = t.routers.(u) and rv = t.routers.(v) in
   Session_core.touch_fwd t.core;
-  Hashtbl.remove ru.adj_rib_in v;
-  Hashtbl.remove ru.rib_out v;
+  Process.forget ru.proc v;
   Hashtbl.remove ru.failover_rib v;
   (match ru.failover_out with
   | Some (n, _) when n = v -> ru.failover_out <- None
   | Some _ | None -> ());
-  Hashtbl.remove rv.adj_rib_in u;
-  Hashtbl.remove rv.rib_out u;
+  Process.forget rv.proc u;
   Hashtbl.remove rv.failover_rib u;
   match rv.failover_out with
   | Some (n, _) when n = u -> rv.failover_out <- None
@@ -308,17 +272,14 @@ let recover_link t u v =
 let fail_node t v =
   Session_core.fail_node t.core v;
   let r = t.routers.(v) in
-  Hashtbl.reset r.adj_rib_in;
-  Hashtbl.reset r.rib_out;
+  Process.clear r.proc;
   Hashtbl.reset r.failover_rib;
   r.failover_out <- None;
-  r.best <- None;
   let cause = Node v in
   Array.iter
     (fun (n, _) ->
       let rn = t.routers.(n) in
-      Hashtbl.remove rn.adj_rib_in v;
-      Hashtbl.remove rn.rib_out v;
+      Process.forget rn.proc v;
       Hashtbl.remove rn.failover_rib v;
       (match rn.failover_out with
       | Some (x, _) when x = v -> rn.failover_out <- None
@@ -368,7 +329,7 @@ let allow_export t v n =
   advertise_to t t.routers.(v) n;
   update_failover t t.routers.(v)
 
-let best t v = t.routers.(v).best
+let best t v = t.routers.(v).proc.best
 
 let failover_choices t v =
   Hashtbl.fold (fun from p acc -> (from, p) :: acc) t.routers.(v).failover_rib []
@@ -388,23 +349,20 @@ let pinned_alive t path =
 (* One packet state; a step returns the next hop itself as its code. *)
 let walk_fresh t =
   let links = Session_core.links t.core in
-  let hop v (route : Route.t option) =
-    match route with
-    | Some { Route.as_path = nh :: _; _ } when Link_state.link_up links v nh
-      ->
-      nh
-    | Some _ | None -> -1
-  in
   let step v _ =
     if not (Link_state.node_up links v) then Fwd_walk.drop
     else begin
       let r = t.routers.(v) in
-      let primary = hop v r.best in
+      let primary = Process.next_hop_up r.proc links in
       if primary >= 0 then primary
       else
         (* keep forwarding along the withdrawn route until an alternative
            or a root cause invalidates it *)
-        let stale = hop v r.withdrawn in
+        let stale =
+          match r.withdrawn with
+          | Some w -> Process.hop_up links v w
+          | None -> -1
+        in
         if stale >= 0 then stale
         else begin
           (* Deflect onto a stored failover path. The router picks the
@@ -440,11 +398,4 @@ let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core
 let counters t = Session_core.counters t.core
 
-let to_table t : Static_route.table =
-  Array.map
-    (fun r ->
-      match r.best with
-      | None -> None
-      | Some (b : Route.t) ->
-        Some { Static_route.as_path = b.as_path; cls = b.cls })
-    t.routers
+let to_table t = Process.table (Array.map (fun r -> r.proc) t.routers)

@@ -116,17 +116,17 @@ let test_node_recover_oracle () =
         ~check_oracle:false t dest)
     (fixtures ())
 
-(* Hybrid_net has no table view; compare the forwarding-plane outcome for
-   every source instead. *)
+(* The hybrid's backups are not in the table view; compare the
+   forwarding-plane outcome for every source instead. *)
 let test_hybrid_link_recover () =
   List.iter
     (fun (label, t, dasn, (ua, va), _) ->
       let dest = vtx t dasn and u = vtx t ua and v = vtx t va in
       let sim = Sim.create ~seed:11 () in
-      let net = Hybrid_net.create sim t ~dest ~deployed:(fun _ -> true) () in
-      Hybrid_net.start net;
+      let net = Bgp_net.create sim t ~dest ~deployed:(fun _ -> true) () in
+      Bgp_net.start net;
       Sim.run sim;
-      let before = Hybrid_net.walk_all net in
+      let before = Bgp_net.walk_all net in
       Array.iter
         (fun s ->
           Alcotest.(check bool)
@@ -134,11 +134,11 @@ let test_hybrid_link_recover () =
             true
             (Fwd_walk.equal_status s Fwd_walk.Delivered))
         before;
-      Hybrid_net.fail_link net u v;
+      Bgp_net.fail_link net u v;
       Sim.run sim;
-      Hybrid_net.recover_link net u v;
+      Bgp_net.recover_link net u v;
       Sim.run sim;
-      let after = Hybrid_net.walk_all net in
+      let after = Bgp_net.walk_all net in
       Alcotest.(check bool)
         (label ^ ": forwarding restored for every source")
         true
@@ -213,7 +213,7 @@ let test_hybrid_full_vocabulary () =
   let dest = vtx t 3 in
   let check_converges label events =
     let r =
-      Runner.run_engine Hybrid_engine.full t
+      Runner.run_engine Bgp_engine.hybrid_full t
         { Scenario.dest; events; detect_delay = None }
     in
     Alcotest.(check string) (label ^ " runs to a verdict") "converged"
@@ -238,7 +238,7 @@ let test_hybrid_full_vocabulary () =
   (* a denied export at a legacy-BGP AS pair actually withdraws the route:
      the hybrid's policy machinery works, it isn't silently ignored *)
   let r =
-    Runner.run_engine (Hybrid_engine.make ~deployed:(fun _ -> false) ()) t
+    Runner.run_engine (Bgp_engine.hybrid ~deployed:(fun _ -> false) ()) t
       {
         Scenario.dest;
         events = [ Scenario.Deny_export (dest, vtx t 1) ];

@@ -234,7 +234,7 @@ let pin_engines topo =
   List.combine
     [ "bgp"; "rbgp_norci"; "rbgp"; "stamp"; "hybrid_full" ]
     (List.map snd Runner.engines)
-  @ [ ("hybrid_t1", Hybrid_engine.make ~deployed:(fun v -> tiers.(v) <= 1) ()) ]
+  @ [ ("hybrid_t1", Bgp_engine.hybrid ~deployed:(fun v -> tiers.(v) <= 1) ()) ]
 
 let undo = function
   | Scenario.Fail_link (u, v) -> Scenario.Recover_link (u, v)

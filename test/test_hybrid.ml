@@ -8,8 +8,8 @@ let vtx = Test_support.vtx
 
 let converge ?(seed = 7) ?detect_delay ~deployed topo ~dest =
   let sim = Sim.create ~seed () in
-  let net = Hybrid_net.create sim topo ~dest ~deployed ?detect_delay () in
-  Hybrid_net.start net;
+  let net = Bgp_net.create sim topo ~dest ~deployed ?detect_delay () in
+  Bgp_net.start net;
   Sim.run sim;
   (sim, net)
 
@@ -28,7 +28,7 @@ let prop_control_plane_is_bgp =
       let oracle = Static_route.compute t ~dest in
       Array.for_all
         (fun v ->
-          match (oracle.(v), Hybrid_net.best net v) with
+          match (oracle.(v), Bgp_net.best net v) with
           | None, None -> true
           | Some e, Some b -> e.Static_route.as_path = b.Route.as_path
           | (Some _ | None), _ -> false)
@@ -40,7 +40,7 @@ let test_message_count_equals_bgp () =
   let _, hybrid = converge ~seed:3 t ~dest ~deployed:(fun _ -> true) in
   let _, bgp = Test_support.converge_bgp ~seed:3 t ~dest in
   Alcotest.(check int) "same update count" (Bgp_net.message_count bgp)
-    (Hybrid_net.message_count hybrid)
+    (Bgp_net.message_count hybrid)
 
 (* --- blue table ----------------------------------------------------------- *)
 
@@ -49,16 +49,16 @@ let test_backup_disjoint_on_diamond () =
   let dest = vtx t 3 in
   let _, net = converge t ~dest ~deployed:(Topology.is_tier1 t) in
   (* tier-1 10: best 10>1>3, backup must be via peer 20 avoiding 1 *)
-  (match Hybrid_net.backup net (vtx t 10) with
+  (match Bgp_net.backup net (vtx t 10) with
   | Some r ->
     Alcotest.(check (list int)) "backup path" [ 20; 2; 3 ]
       (Test_support.asns_of_path t r.Route.as_path)
   | None -> Alcotest.fail "no backup at AS 10");
   Alcotest.(check bool) "disjoint backup" true
-    (Hybrid_net.has_disjoint_backup net (vtx t 10));
+    (Bgp_net.has_disjoint_backup net (vtx t 10));
   (* legacy ASes expose no backup *)
   Alcotest.(check bool) "legacy has none" true
-    (Hybrid_net.backup net (vtx t 1) = None)
+    (Bgp_net.backup net (vtx t 1) = None)
 
 let test_backup_absent_without_alternates () =
   let t = Test_support.chain 4 in
@@ -71,7 +71,7 @@ let test_backup_absent_without_alternates () =
         Alcotest.(check bool)
           (Printf.sprintf "AS %d no backup" (Topology.asn t v))
           true
-          (Hybrid_net.backup net v = None))
+          (Bgp_net.backup net v = None))
     (Topology.vertices t)
 
 (* --- deflection -------------------------------------------------------------- *)
@@ -88,8 +88,8 @@ let test_deflection_saves_at_failure_instant () =
   let dest = vtx t 3 in
   let sim, net = converge t ~dest ~deployed:(Topology.is_tier1 t) in
   ignore sim;
-  Hybrid_net.fail_link net (vtx t 10) (vtx t 1);
-  let statuses = Hybrid_net.walk_all net in
+  Bgp_net.fail_link net (vtx t 10) (vtx t 1);
+  let statuses = Bgp_net.walk_all net in
   Alcotest.(check bool) "AS 10 delivered" true
     (Fwd_walk.equal_status statuses.(vtx t 10) Fwd_walk.Delivered);
   (* the data-plane nature of the backup shows under slow control-plane
@@ -104,10 +104,10 @@ let test_deflection_saves_at_failure_instant () =
     converge ~detect_delay:5. t ~dest ~deployed:(Topology.is_tier1 t)
   in
   ignore sim'';
-  Hybrid_net.fail_link net' (vtx t 10) (vtx t 1);
+  Bgp_net.fail_link net' (vtx t 10) (vtx t 1);
   Alcotest.(check bool) "hybrid AS 10 survives slow detection" true
     (Fwd_walk.equal_status
-       (Hybrid_net.walk_all net').(vtx t 10)
+       (Bgp_net.walk_all net').(vtx t 10)
        Fwd_walk.Delivered)
 
 let prop_partial_never_worse_than_bgp =
@@ -122,7 +122,7 @@ let prop_partial_never_worse_than_bgp =
       let bgp = Runner.run ~seed:p.Topo_gen.seed Runner.Bgp t spec in
       let hybrid =
         Runner.run_engine ~seed:p.Topo_gen.seed
-          (Hybrid_engine.make ~deployed:(fun v -> tiers.(v) <= 1) ())
+          (Bgp_engine.hybrid ~deployed:(fun v -> tiers.(v) <= 1) ())
           t spec
       in
       hybrid.Runner.transient_count <= bgp.Runner.transient_count)
@@ -131,7 +131,7 @@ let test_full_deployment_converges_and_delivers () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:150 ()) in
   let st = Random.State.make [| 4 |] in
   let spec = Scenario.single_link st t in
-  let r = Runner.run_engine Hybrid_engine.full t spec in
+  let r = Runner.run_engine Bgp_engine.hybrid_full t spec in
   Alcotest.(check int) "no permanent loss" 0 r.Runner.broken_after
 
 let () =

@@ -23,7 +23,7 @@ let test_registry_covered () =
          Rbgp_engine.no_rci;
          Rbgp_engine.rci;
          Stamp_engine.default;
-         Hybrid_engine.full;
+         Bgp_engine.hybrid_full;
        ])
     (List.map fst Runner.engines)
 

@@ -132,8 +132,8 @@ let sample_events =
       (Trace.Decision { old_next = None; new_next = Some 1; cause = "route-learned" });
     mk 31.6 8 "Stamp_net" (Trace.Node 7)
       (Trace.Recolor { color = "red"; et_ok = false });
-    mk 32. 9 "Hybrid_net" (Trace.Link (10, 20)) Trace.Session_reset;
-    mk 72. 10 "Hybrid_net" (Trace.Link (10, 20)) Trace.Session_up;
+    mk 32. 9 "Bgp_net" (Trace.Link (10, 20)) Trace.Session_reset;
+    mk 72. 10 "Bgp_net" (Trace.Link (10, 20)) Trace.Session_up;
     mk 46.746656553780902 11 "BGP" (Trace.Link (150, 37))
       (Trace.Scenario_event "link 150-37 \"quoted\" \\ backslash");
     mk 46.75 12 "BGP" (Trace.Node 99)
