@@ -67,11 +67,11 @@ let rec advertise_to t r n =
 
 (* --- failover-path advertisement ------------------------------------ *)
 
-(* The failover path goes to the best route's next hop: the most disjoint
-   alternate, by fewest vertices shared with the best path (the
-   destination is shared by all candidates, so it never affects the
-   ranking), then the decision order. The recipient must not appear in the
-   alternate. *)
+(* The failover path goes to the best route's next hop, unless export to
+   it is denied: the most disjoint alternate, by fewest vertices shared
+   with the best path (the destination is shared by all candidates, so it
+   never affects the ranking), then the decision order. The recipient must
+   not appear in the alternate. *)
 let update_failover t r =
   let p = r.proc in
   let desired =
@@ -80,6 +80,7 @@ let update_failover t r =
     | Some b -> begin
       match Route.learned_from b with
       | None -> None (* destination itself *)
+      | Some nh when Hashtbl.mem r.export_deny nh -> None
       | Some nh -> begin
         match
           Process.alternate p
@@ -106,9 +107,7 @@ let update_failover t r =
         (Failover { path = None; rci = r.last_cause })
     | Some _ | None -> ());
     (match desired with
-    | Some (n, path)
-      when Session_core.link_up t.core p.self n
-           && not (Hashtbl.mem r.export_deny n) ->
+    | Some (n, path) when Session_core.link_up t.core p.self n ->
       Session_core.send t.core ~src:p.self ~dst:n ~kind:`Announce
         (Failover { path = Some path; rci = r.last_cause })
     | Some _ | None -> ());

@@ -65,10 +65,13 @@ val recover_node : t -> Topology.vertex -> unit
     the returning router restarts with empty RIBs and no known causes. *)
 
 val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Policy change: stop exporting to a neighbour (withdrawal follows). *)
+(** Policy change: stop exporting to a neighbour. Withdrawals follow, of
+    the failover path too when the neighbour is the best route's next
+    hop. *)
 
 val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Revert {!deny_export}. *)
+(** Revert {!deny_export}: the neighbour hears the current best route and
+    failover path again. *)
 
 val best : t -> Topology.vertex -> Route.t option
 

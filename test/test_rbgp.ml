@@ -203,6 +203,38 @@ let test_message_overhead_above_bgp () =
   Alcotest.(check bool) "rbgp >= bgp messages" true
     (Rbgp_net.message_count rbgp >= Bgp_net.message_count bgp)
 
+(* Export policy covers failover paths too. diamond, dest 3: AS 10's
+   failover path goes to its next hop 1 (see above). *)
+let failover_from t net ~at ~from =
+  List.exists
+    (fun path -> List.hd path = vtx t from)
+    (Rbgp_net.failover_choices net (vtx t at))
+
+let test_failover_withdrawn_on_deny () =
+  let t = diamond () in
+  let sim, net = converge ~rci:true t ~dest:(vtx t 3) in
+  Alcotest.(check bool) "AS 1 holds AS 10's failover path" true
+    (failover_from t net ~at:1 ~from:10);
+  Rbgp_net.deny_export net (vtx t 10) (vtx t 1);
+  Sim.run sim;
+  Alcotest.(check bool) "withdrawn once 10 denies export to 1" false
+    (failover_from t net ~at:1 ~from:10)
+
+let test_failover_sent_on_allow () =
+  let t = diamond () in
+  let sim = Sim.create ~seed:7 () in
+  let net = Rbgp_net.create sim t ~dest:(vtx t 3) ~rci:true () in
+  (* every failover choice is made while 10 -> 1 is denied *)
+  Rbgp_net.deny_export net (vtx t 10) (vtx t 1);
+  Rbgp_net.start net;
+  Sim.run sim;
+  Alcotest.(check bool) "nothing reaches AS 1 while denied" false
+    (failover_from t net ~at:1 ~from:10);
+  Rbgp_net.allow_export net (vtx t 10) (vtx t 1);
+  Sim.run sim;
+  Alcotest.(check bool) "sent once 10 allows export to 1" true
+    (failover_from t net ~at:1 ~from:10)
+
 let () =
   Alcotest.run "rbgp"
     [
@@ -217,6 +249,10 @@ let () =
           Alcotest.test_case "failover advertised" `Quick test_failover_advertised;
           Alcotest.test_case "failover paths end at dest" `Quick
             test_failover_no_self_advertise;
+          Alcotest.test_case "deny export withdraws the failover path" `Quick
+            test_failover_withdrawn_on_deny;
+          Alcotest.test_case "allow export sends the failover path" `Quick
+            test_failover_sent_on_allow;
         ] );
       ( "guarantee",
         [
