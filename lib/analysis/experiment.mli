@@ -97,10 +97,10 @@ val partial_deployment_dynamic :
     only at ASes of tier <= k, for k in [[0, max_tier]] ([k = 0]: tier-1
     only). Compare against the BGP and full-STAMP bars of {!failure_bars}.
 
-    Expect numbers close to plain BGP: {!Hybrid_net}'s design guarantees
-    partial deployment never hurts, but most transient problems live in
-    stale loops and blackholes {e at legacy ASes}, which a deployed AS
-    cannot see — its own best route looks healthy. STAMP's dynamic benefit
+    Expect numbers close to plain BGP: {!Bgp_engine.hybrid}'s design
+    guarantees partial deployment never hurts, but most transient problems
+    live in stale loops and blackholes {e at legacy ASes}, which a deployed
+    AS cannot see — its own best route looks healthy. STAMP's dynamic benefit
     comes from the [ET]-signalled remote switching, which cannot cross
     legacy hops; the static 75 % capability (two disjoint paths exist) is
     only realised under wide deployment. *)

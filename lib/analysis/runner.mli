@@ -24,7 +24,7 @@ val engine_of_protocol : protocol -> (module Engine.S)
 val engines : (string * (module Engine.S)) list
 (** Every engine the generic test suites and benches exercise, keyed by
     name: the four paper engines in bar order, then
-    {!Hybrid_engine.full}. *)
+    {!Bgp_engine.hybrid_full}. *)
 
 type budget = {
   max_events : int;  (** whole-run cap on simulation events processed *)
@@ -137,7 +137,7 @@ val run :
 (** {!run_engine} on {!engine_of_protocol}. STAMP uses
     {!Coloring.Random_choice} seeded from [seed]. Protocol variants go to
     {!run_engine} directly: [Stamp_engine.make] builds the STAMP ablation
-    variants, [Hybrid_engine.make ~deployed] a partial deployment. *)
+    variants, [Bgp_engine.hybrid ~deployed] a partial deployment. *)
 
 val run_traffic :
   ?seed:int ->

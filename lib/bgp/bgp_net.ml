@@ -111,7 +111,8 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
       route_changes = 0;
     }
   in
-  Session_core.on_receive core (fun ~src ~dst msg -> receive t dst ~from:src msg);
+  Session_core.on_receive core (fun ~src ~dst msg ->
+      receive t dst ~from:src msg);
   t
 
 let start t = recompute t t.dest

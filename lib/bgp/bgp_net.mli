@@ -129,9 +129,10 @@ val walk_all : t -> Fwd_walk.status array
     packet follows best routes again (the backup is an advertised route of
     the deflection neighbour, so its hops are the downstream best chain;
     following other ASes' local backups would compose unrelated picks and
-    can loop). One re-colouring per packet, as in Section 5. The result is cached until the next forwarding
-    change ({!Session_core.cached_walk}): it may be the very array an
-    earlier call returned, and must not be mutated. *)
+    can loop). One re-colouring per packet, as in Section 5. The result is
+    cached until the next forwarding change ({!Session_core.cached_walk}):
+    it may be the very array an earlier call returned, and must not be
+    mutated. *)
 
 val touch_fwd : t -> unit
 (** Invalidate the cached walk, so the next {!walk_all} walks afresh (see

@@ -50,7 +50,8 @@ let decide ?prefix p core best' =
       | Some _, Some _ -> "route-change"
     in
     p.best <- best';
-    Session_core.note_decision core ~node:p.self ~old_next ~new_next:(next_hop p)
+    Session_core.note_decision core ~node:p.self ~old_next
+      ~new_next:(next_hop p)
       ~cause:(match prefix with None -> cause | Some s -> s ^ cause);
     true
   end
@@ -80,15 +81,21 @@ let alternate ?(admit = fun _ -> true) p ~score =
       p.adj_rib_in;
     !pick
 
-let export p ~to_ ~to_rel =
+let exportable p ~to_ ~to_rel =
   match p.best with
   | Some e -> begin
     let r = p.route e in
     match r.as_path with
-    | nh :: _ when nh = to_ -> None
-    | _ -> if Export.exportable r ~to_rel then Some (p.self :: r.as_path) else None
+    | nh :: _ when nh = to_ -> false
+    | _ -> Export.exportable r ~to_rel
   end
-  | None -> None
+  | None -> false
+
+let export p ~to_ ~to_rel =
+  match p.best with
+  | Some e when exportable p ~to_ ~to_rel ->
+    Some (p.self :: (p.route e).as_path)
+  | Some _ | None -> None
 
 let hop_up links v (r : Route.t) =
   match r.as_path with

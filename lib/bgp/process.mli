@@ -48,7 +48,8 @@ val select : ('e, 'h) t -> 'e option
     [None] on an empty RIB. Entries come from distinct neighbours, so the
     result does not depend on hash order. *)
 
-val decide : ?prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool
+val decide :
+  ?prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool
 (** [decide p core best'] installs [best'] when it differs structurally
     from the current best, reports the change with
     {!Session_core.note_decision} (cause ["route-loss"],
@@ -68,14 +69,19 @@ val next_hop : ('e, 'h) t -> Topology.vertex option
 
 (** {1 Export} *)
 
+val exportable :
+  ('e, 'h) t -> to_:Topology.vertex -> to_rel:Relationship.t -> bool
+(** Whether a neighbour of relationship [to_rel] may hear the best route
+    under valley-free export ({!Export.exportable}): there is one, and it
+    was not learned from that neighbour. *)
+
 val export :
   ('e, 'h) t ->
   to_:Topology.vertex ->
   to_rel:Relationship.t ->
   Topology.vertex list option
-(** The path a neighbour of relationship [to_rel] should hear under
-    valley-free export ({!Export.exportable}), never back to the best
-    route's next hop: [Some (self :: as_path)], or [None]. *)
+(** The path such a neighbour hears when {!exportable}:
+    [Some (self :: as_path)], otherwise [None]. *)
 
 (** {1 Forwarding} *)
 

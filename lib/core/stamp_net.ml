@@ -61,28 +61,25 @@ let alive_provider_count t r =
 let is_relay t r ~red ~blue =
   alive_provider_count t r = 1
   && (r.v = t.dest
-     || red <> None
-        && blue <> None
+     || red && blue
         && Process.next_hop (proc r Red) = Process.next_hop (proc r Blue))
 
 (* What should neighbour [n] currently hear from [r] on process [color]?
    Returns the (path, lock) announcement, or None for nothing/withdraw. *)
 let desired t r n color =
   let to_rel = Session_core.rel t.core r.v n in
-  let export c = Process.export (proc r c) ~to_:n ~to_rel in
-  let unlocked = Option.map (fun path -> (path, false)) in
-  match (to_rel : Relationship.t) with
-  | Customer | Peer | Sibling -> unlocked (export color)
-  | Provider -> begin
-    (* the valley-free paths each colour could announce *)
-    let red = export Red and blue = export Blue in
-    let lock_held = blue_lock_held t r in
-    let designated =
-      if lock_held && blue <> None then designated_provider t r else None
-    in
-    let relay = is_relay t r ~red ~blue in
-    let plan : (Topology.vertex list * bool) option =
-      match color with
+  (* the plan: announce the colour's valley-free path, with this lock bit *)
+  let lock =
+    match (to_rel : Relationship.t) with
+    | Customer | Peer | Sibling -> Some false
+    | Provider -> begin
+      let red = Process.exportable (proc r Red) ~to_:n ~to_rel
+      and blue = Process.exportable (proc r Blue) ~to_:n ~to_rel in
+      let designated =
+        if blue_lock_held t r && blue then designated_provider t r else None
+      in
+      let relay = is_relay t r ~red ~blue in
+      match (color : Color.t) with
       | Blue ->
         (* Only the locked blue route propagates to providers (to exactly
            one of them). Unlocked blue is "not required to propagate"
@@ -92,19 +89,22 @@ let desired t r n color =
            withdrawal, punching transient holes into the blue tree. Blue
            still reaches every AS through the locked chain to a tier-1 and
            the unrestricted announcements to customers and peers. *)
-        if Some n = designated then
-          Option.map (fun path -> (path, true)) blue
-        else if t.spread_unlocked_blue && red = None && not relay then
+        if Some n = designated then Some true
+        else if t.spread_unlocked_blue && (not red) && not relay then
           (* ablation mode: fill red-less providers with unlocked blue *)
-          unlocked blue
+          Some false
         else None
       | Red ->
-        if relay then unlocked red
-        else if Some n = designated then None
-          (* red yields the locked blue provider *)
-        else unlocked red
-    in
-    plan
+        (* red yields the locked blue provider *)
+        if (not relay) && Some n = designated then None else Some false
+    end
+  in
+  match lock with
+  | None -> None
+  | Some lock -> begin
+    match Process.export (proc r color) ~to_:n ~to_rel with
+    | Some path -> Some (path, lock)
+    | None -> None
   end
 
 let rec advertise_to t r n color =
@@ -222,46 +222,36 @@ let start t =
 
 (* --- failures ---------------------------------------------------------- *)
 
-(* Session reset at [r] with [peer]; a process that loses its best route
-   marks the change as a loss. *)
-let reset_session t r peer =
+(* Session reset at [r] with [peer], then re-advertise whatever the
+   selective-announcement plan now assigns. On a [failure], a process that
+   loses its best route marks the change as a loss; a session coming back
+   re-establishes with empty state and loses nothing. *)
+let reset_session t r peer ~failure =
   List.iter
     (fun color ->
       let p = proc r color in
-      let lost_best = Process.next_hop p = Some peer in
+      let loss = failure && Process.next_hop p = Some peer in
       Process.forget p peer;
-      recompute t r color ~loss:lost_best)
+      recompute t r color ~loss)
     Color.all;
   advertise_all t r
 
-let drop_session t u v =
-  reset_session t t.routers.(u) v;
-  reset_session t t.routers.(v) u
-
-let fail_link t u v = Session_core.fail_link t.core u v ~react:(fun () -> drop_session t u v)
+let fail_link t u v =
+  Session_core.fail_link t.core u v ~react:(fun () ->
+      reset_session t t.routers.(u) v ~failure:true;
+      reset_session t t.routers.(v) u ~failure:true)
 
 let recover_link t u v =
   Session_core.recover_link t.core u v ~react:(fun () ->
-      (* both sessions re-establish with empty state; each side
-         re-advertises whatever the selective-announcement plan currently
-         assigns the peer *)
-      let refresh r peer =
-        List.iter
-          (fun color ->
-            Process.forget (proc r color) peer;
-            recompute t r color ~loss:false)
-          Color.all;
-        advertise_all t r
-      in
-      refresh t.routers.(u) v;
-      refresh t.routers.(v) u)
+      reset_session t t.routers.(u) v ~failure:false;
+      reset_session t t.routers.(v) u ~failure:false)
 
 let fail_node t v =
   Session_core.fail_node t.core v;
   let r = t.routers.(v) in
   Array.iter Process.clear r.procs;
   Array.iter
-    (fun (n, _) -> reset_session t t.routers.(n) v)
+    (fun (n, _) -> reset_session t t.routers.(n) v ~failure:true)
     (Topology.neighbors t.topo v)
 
 let recover_node t v =
@@ -281,14 +271,7 @@ let recover_node t v =
      locked-blue-provider designation, which may now prefer a provider that
      just came back *)
   Array.iter
-    (fun (n, _) ->
-      let rn = t.routers.(n) in
-      List.iter
-        (fun color ->
-          Process.forget (proc rn color) v;
-          recompute t rn color ~loss:false)
-        Color.all;
-      advertise_all t rn)
+    (fun (n, _) -> reset_session t t.routers.(n) v ~failure:false)
     (Topology.neighbors t.topo v)
 
 let deny_export t v n =
@@ -338,7 +321,7 @@ let in_use t v =
    [2 * colour + switched], with colours as {!Color.to_int} (0 or 1). *)
 let walk_fresh t =
   let links = Session_core.links t.core in
-  (* next hop of process [c]'s best route at [v] over a live link, or -1 *)
+  (* next hop of process [c]'s best route over a live link, or -1 *)
   let usable r c = Process.next_hop_up r.procs.(c) links in
   let forward nh c ~switched = (nh * 4) + (2 * c) + switched in
   let step v s =

@@ -2,10 +2,10 @@
     (Section 4 of the paper), the [Lock] and [ET] path attributes, and
     colour-aware packet forwarding (Section 5).
 
-    Each AS runs a red and a blue process. Both are standard BGP processes
-    (same decision process, valley-free export, per-peer-per-process MRAI,
-    [10 ms, 20 ms] delays) except for the {e selective announcement} rules
-    towards providers:
+    Each AS runs a red and a blue process, one {!Process} each. Both are
+    standard BGP processes (same decision process, valley-free export,
+    per-peer-per-process MRAI, [10 ms, 20 ms] delays) except for the
+    {e selective announcement} rules towards providers:
 
     - announcements to customers and peers proceed freely for both colours;
     - an AS holding a locked blue route re-announces its blue best, with

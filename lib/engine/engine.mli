@@ -4,10 +4,12 @@
     captured as a module type, plus packed instances.
 
     Analysis code (Runner, Experiment, the benches, conformance tests) is
-    generic over {!S}: adding protocol #5 means writing its decision /
-    export / attribute policy on top of {!Session_core}, wrapping it in an
-    [S] implementation, and adding it to [Runner.engines] — nothing else
-    changes. *)
+    generic over {!S}: a new protocol is written on [Process] (one routing
+    process's RIBs, decision and export, in lib/bgp) plus {!Session_core}
+    (sessions, MRAI, failures), supplying only its attributes, import /
+    export plan and extra state; its adapter [include]s the network module
+    and adds [name], [create] and [probe], and it joins [Runner.engines] —
+    nothing else changes. *)
 
 type config = {
   seed : int;

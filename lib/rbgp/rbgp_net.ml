@@ -124,24 +124,18 @@ let advertise_all t r =
 let learn_cause t r cause =
   if t.rci && not (List.exists (cause_equal cause) r.known_causes) then begin
     r.known_causes <- cause :: r.known_causes;
-    let purge tbl =
+    let purge tbl path =
       let stale =
         Hashtbl.fold
-          (fun from path acc ->
-            if path_hits_cause path cause then from :: acc else acc)
+          (fun from x acc ->
+            if path_hits_cause (path x) cause then from :: acc else acc)
           tbl []
       in
       List.iter (Hashtbl.remove tbl) stale
     in
-    let stale_routes =
-      Hashtbl.fold
-        (fun from (rt : Route.t) acc ->
-          if path_hits_cause rt.as_path cause then from :: acc else acc)
-        r.proc.adj_rib_in []
-    in
-    List.iter (Hashtbl.remove r.proc.adj_rib_in) stale_routes;
+    purge r.proc.adj_rib_in (fun (rt : Route.t) -> rt.as_path);
     Session_core.touch_fwd t.core;
-    purge r.failover_rib;
+    purge r.failover_rib Fun.id;
     (match r.withdrawn with
     | Some (w : Route.t) when path_hits_cause w.as_path cause ->
       r.withdrawn <- None
@@ -219,19 +213,31 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
 
 let start t = recompute t t.routers.(t.dest)
 
-let drop_session t u v =
-  let ru = t.routers.(u) and rv = t.routers.(v) in
-  Session_core.touch_fwd t.core;
-  Process.forget ru.proc v;
-  Hashtbl.remove ru.failover_rib v;
-  (match ru.failover_out with
-  | Some (n, _) when n = v -> ru.failover_out <- None
-  | Some _ | None -> ());
-  Process.forget rv.proc u;
-  Hashtbl.remove rv.failover_rib u;
-  match rv.failover_out with
-  | Some (n, _) when n = u -> rv.failover_out <- None
+(* Session reset at [r] with [peer], failover paths included. *)
+let reset_session r peer =
+  Process.forget r.proc peer;
+  Hashtbl.remove r.failover_rib peer;
+  match r.failover_out with
+  | Some (n, _) when n = peer -> r.failover_out <- None
   | Some _ | None -> ()
+
+let drop_session t u v =
+  Session_core.touch_fwd t.core;
+  reset_session t.routers.(u) v;
+  reset_session t.routers.(v) u
+
+(* A recovered element's root cause clears everywhere: paths through it
+   are valid again. [last_cause] must go too, or re-announcements would
+   carry the stale cause and re-poison every receiver. *)
+let clear_cause t cause =
+  Array.iter
+    (fun r ->
+      r.known_causes <-
+        List.filter (fun c -> not (cause_equal c cause)) r.known_causes;
+      match r.last_cause with
+      | Some c when cause_equal c cause -> r.last_cause <- None
+      | Some _ | None -> ())
+    t.routers
 
 let fail_link t u v =
   Session_core.fail_link t.core u v ~react:(fun () ->
@@ -250,19 +256,7 @@ let fail_link t u v =
 let recover_link t u v =
   Session_core.recover_link t.core u v ~react:(fun () ->
       drop_session t u v;
-      (* recovered links clear the corresponding root cause: routes through
-         the link are valid again. [last_cause] must go too, or
-         re-announcements would carry the stale cause and re-poison every
-         receiver. *)
-      let cause = Link (u, v) in
-      let clear_cause r =
-        r.known_causes <-
-          List.filter (fun c -> not (cause_equal c cause)) r.known_causes;
-        match r.last_cause with
-        | Some c when cause_equal c cause -> r.last_cause <- None
-        | Some _ | None -> ()
-      in
-      Array.iter clear_cause t.routers;
+      clear_cause t (Link (u, v));
       advertise_to t t.routers.(u) v;
       advertise_to t t.routers.(v) u;
       update_failover t t.routers.(u);
@@ -278,11 +272,7 @@ let fail_node t v =
   Array.iter
     (fun (n, _) ->
       let rn = t.routers.(n) in
-      Process.forget rn.proc v;
-      Hashtbl.remove rn.failover_rib v;
-      (match rn.failover_out with
-      | Some (x, _) when x = v -> rn.failover_out <- None
-      | Some _ | None -> ());
+      reset_session rn v;
       learn_cause t rn cause;
       recompute t rn)
     (Topology.neighbors t.topo v)
@@ -294,18 +284,7 @@ let recover_node t v =
   r.known_causes <- [];
   r.last_cause <- None;
   r.withdrawn <- None;
-  (* the node's root cause clears everywhere: paths through it are valid
-     again (including stale [last_cause] stamps, which would otherwise
-     travel on re-announcements and re-poison receivers) *)
-  let cause = Node v in
-  Array.iter
-    (fun rn ->
-      rn.known_causes <-
-        List.filter (fun c -> not (cause_equal c cause)) rn.known_causes;
-      match rn.last_cause with
-      | Some c when cause_equal c cause -> rn.last_cause <- None
-      | Some _ | None -> ())
-    t.routers;
+  clear_cause t (Node v);
   (* re-originates if [v] is the destination; otherwise waits for
      neighbours to re-announce *)
   recompute t r;

@@ -3,7 +3,8 @@
     mechanism switchable on and off.
 
     Two mechanisms are layered on top of the standard BGP engine semantics
-    (same decision process, export policy, MRAI, delays):
+    (one {!Process} per router: same decision process, export policy, MRAI,
+    delays):
 
     - {b Failover paths}: every router advertises, to the neighbour that is
       the next hop of its best path, the most disjoint alternate path from

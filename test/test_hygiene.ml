@@ -106,6 +106,17 @@ let rules =
       allowed = contains_fragment [ "analysis/transient.ml" ];
       why = "fold over Transient.watch instead of slicing Sim.run";
     };
+    (* Every best-route change goes through Process.decide, the one place
+       that installs a new best route and reports it (trace event,
+       forwarding epoch, convergence instant); an engine reporting
+       decisions itself would drift from the other engines' causes. *)
+    {
+      name = "one decision path in lib/";
+      patterns = [ "Session_core.note_decision" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "bgp/process.ml" ];
+      why = "install best routes with Process.decide";
+    };
     (* Obj.magic defeats the type system wholesale; nothing in a
        simulator of this size justifies it. *)
     {

@@ -38,6 +38,24 @@ let prop_select_returns_maximum =
       | None -> false
       | Some best -> not (List.exists (fun r -> Decision.better r best) rs))
 
+(* The list-free fold picks what [Decision.select] picks from the RIB's
+   values, whatever the hash order: RIB entries come from distinct
+   neighbours, so their next hops differ and [better] is a total order. *)
+let prop_process_select_is_decision_select =
+  Test_support.qtest "process: select = Decision.select over the RIB"
+    QCheck2.Gen.(list_size (int_range 0 20) gen_route)
+    QCheck2.Print.(list print_route)
+    (fun rs ->
+      let p = Process.create 1000 ~route:Fun.id in
+      List.iter
+        (fun (r : Route.t) ->
+          let from = List.hd r.as_path in
+          if not (Hashtbl.mem p.adj_rib_in from) then Process.learn p ~from r)
+        rs;
+      Process.select p
+      = Decision.select
+          (Hashtbl.fold (fun _ r acc -> r :: acc) p.adj_rib_in []))
+
 (* --- Export policy ------------------------------------------------------ *)
 
 let all_rels = [ Relationship.Customer; Relationship.Peer; Relationship.Provider ]
@@ -171,6 +189,7 @@ let () =
           prop_decision_asymmetric;
           prop_decision_transitive;
           prop_select_returns_maximum;
+          prop_process_select_is_decision_select;
         ] );
       ( "export",
         [
