@@ -5,8 +5,8 @@ type t = {
   topo : Topology.t;
   dest : Topology.vertex;
   procs : (Route.t, Topology.vertex list) Process.t array;
-  export_deny : (Topology.vertex, unit) Hashtbl.t array;
-      (** per AS: neighbours its policy currently forbids exporting to *)
+  export_deny : bool array array;
+      (** per AS, by slot: its policy currently forbids exporting there *)
   upgraded : bool array;
   backup : Route.t option array;  (** upgraded ASes only: the blue table *)
   num_states : int;  (** packet states: 2 when some AS is upgraded, else 1 *)
@@ -20,20 +20,25 @@ let is_deployed t v = t.upgraded.(v)
 
 (* --- advertisement: policy on top of the shared skeleton ------------- *)
 
-let rec advertise_to t v n =
+(* [i] is the neighbour's slot at [v]. *)
+let rec advertise_to t v i =
   let p = t.procs.(v) in
   let desired =
-    if Hashtbl.mem t.export_deny.(v) n then None
-    else Process.export p ~to_:n ~to_rel:(Session_core.rel t.core v n)
+    if t.export_deny.(v).(i) then None
+    else
+      let n, to_rel = (Topology.neighbors t.topo v).(i) in
+      Process.export p ~to_:n ~to_rel
   in
-  Session_core.advertise t.core ~src:v ~dst:n ~rib_out:p.rib_out ~desired
+  Session_core.advertise t.core ~src:v ~slot:i ~rib_out:p.rib_out ~desired
     ~announce:(fun p -> Announce p)
     ~withdraw:(fun () -> Withdraw)
-    ~retry:(fun () -> advertise_to t v n)
+    ~retry:(fun () -> advertise_to t v i)
     ()
 
 let advertise_all t v =
-  Array.iter (fun (n, _) -> advertise_to t v n) (Topology.neighbors t.topo v)
+  for i = 0 to Topology.degree t.topo v - 1 do
+    advertise_to t v i
+  done
 
 (* --- the blue table of an upgraded AS ---------------------------------- *)
 
@@ -75,14 +80,14 @@ let recompute t v =
 
 (* --- receiving ----------------------------------------------------- *)
 
-let receive t v ~from msg =
+let receive t v ~slot msg =
   if Session_core.node_up t.core v then begin
     let p = t.procs.(v) in
     (match msg with
     | Announce path ->
-      Process.learn p ~from
-        { Route.as_path = path; cls = Session_core.rel t.core v from }
-    | Withdraw -> Hashtbl.remove p.adj_rib_in from);
+      let cls = snd (Topology.neighbors t.topo v).(slot) in
+      Process.learn p ~slot { Route.as_path = path; cls }
+    | Withdraw -> Process.withdraw p ~slot);
     recompute t v
   end
 
@@ -103,36 +108,42 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
       core;
       topo;
       dest;
-      procs = Array.init n (fun v -> Process.create v ~route:Fun.id);
-      export_deny = Array.init n (fun _ -> Hashtbl.create 2);
+      procs =
+        Array.init n (fun v ->
+            Process.create v ~degree:(Topology.degree topo v) ~route:Fun.id);
+      export_deny =
+        Array.init n (fun v -> Array.make (Topology.degree topo v) false);
       upgraded;
       backup = Array.make n None;
       num_states = (if Array.exists Fun.id upgraded then 2 else 1);
       route_changes = 0;
     }
   in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t dst ~from:src msg);
+  Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
+      receive t dst ~slot msg);
   t
 
 let start t = recompute t t.dest
 
 (* --- failures ------------------------------------------------------ *)
 
+(* Session reset on both sides of the link [u]-[v]. *)
+let forget_session t u v =
+  Process.forget t.procs.(u) ~slot:(Topology.slot t.topo u v);
+  Process.forget t.procs.(v) ~slot:(Topology.slot t.topo v u)
+
 let fail_link t u v =
   Session_core.fail_link t.core u v ~react:(fun () ->
-      Process.forget t.procs.(u) v;
-      Process.forget t.procs.(v) u;
+      forget_session t u v;
       recompute t u;
       recompute t v)
 
 let recover_link t u v =
   Session_core.recover_link t.core u v ~react:(fun () ->
-      Process.forget t.procs.(u) v;
-      Process.forget t.procs.(v) u;
+      forget_session t u v;
       (* session re-establishes: each side advertises its current best *)
-      advertise_to t u v;
-      advertise_to t v u)
+      advertise_to t u (Topology.slot t.topo u v);
+      advertise_to t v (Topology.slot t.topo v u))
 
 let fail_node t v =
   Session_core.fail_node t.core v;
@@ -140,7 +151,7 @@ let fail_node t v =
   t.backup.(v) <- None;
   Array.iter
     (fun (n, _) ->
-      Process.forget t.procs.(n) v;
+      Process.forget t.procs.(n) ~slot:(Topology.slot t.topo n v);
       recompute t n)
     (Topology.neighbors t.topo v)
 
@@ -149,22 +160,20 @@ let recover_node t v =
   (* re-originates if [v] is the destination; otherwise the RIBs are empty
      and best stays None until neighbours re-announce *)
   recompute t v;
-  Array.iter
-    (fun (n, _) ->
+  Array.iteri
+    (fun i (n, _) ->
       (* sessions re-establish: each side advertises its current best *)
-      advertise_to t n v;
-      advertise_to t v n)
+      advertise_to t n (Topology.slot t.topo n v);
+      advertise_to t v i)
     (Topology.neighbors t.topo v)
 
-let deny_export t v n =
-  Session_core.check_adjacent t.core ~op:"deny_export" v n;
-  Hashtbl.replace t.export_deny.(v) n ();
-  advertise_to t v n
+let set_export t v n ~op ~deny =
+  let i = Session_core.slot t.core ~op v n in
+  t.export_deny.(v).(i) <- deny;
+  advertise_to t v i
 
-let allow_export t v n =
-  Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.export_deny.(v) n;
-  advertise_to t v n
+let deny_export t v n = set_export t v n ~op:"deny_export" ~deny:true
+let allow_export t v n = set_export t v n ~op:"allow_export" ~deny:false
 
 (* --- observation ---------------------------------------------------- *)
 

@@ -1,40 +1,46 @@
 type ('e, 'h) t = {
   self : Topology.vertex;
   route : 'e -> Route.t;
-  adj_rib_in : (Topology.vertex, 'e) Hashtbl.t;
-  rib_out : (Topology.vertex, 'h) Hashtbl.t;
+  adj_rib_in : 'e option array;
+  rib_out : 'h option array;
   mutable best : 'e option;
 }
 
-let create self ~route =
+let create self ~degree ~route =
   {
     self;
     route;
-    adj_rib_in = Hashtbl.create 8;
-    rib_out = Hashtbl.create 8;
+    adj_rib_in = Array.make degree None;
+    rib_out = Array.make degree None;
     best = None;
   }
 
-let learn p ~from e =
-  if Route.contains (p.route e) p.self then Hashtbl.remove p.adj_rib_in from
-  else Hashtbl.replace p.adj_rib_in from e
+let learn p ~slot e =
+  p.adj_rib_in.(slot) <-
+    (if Route.contains (p.route e) p.self then None else Some e)
 
-let forget p peer =
-  Hashtbl.remove p.adj_rib_in peer;
-  Hashtbl.remove p.rib_out peer
+let withdraw p ~slot = p.adj_rib_in.(slot) <- None
+
+let forget p ~slot =
+  p.adj_rib_in.(slot) <- None;
+  p.rib_out.(slot) <- None
 
 let clear p =
-  Hashtbl.reset p.adj_rib_in;
-  Hashtbl.reset p.rib_out;
+  Array.fill p.adj_rib_in 0 (Array.length p.adj_rib_in) None;
+  Array.fill p.rib_out 0 (Array.length p.rib_out) None;
   p.best <- None
 
 let select p =
-  Hashtbl.fold
-    (fun _ e acc ->
-      match acc with
-      | Some cur when not (Decision.better (p.route e) (p.route cur)) -> acc
-      | Some _ | None -> Some e)
-    p.adj_rib_in None
+  let acc = ref None in
+  Array.iter
+    (function
+      | None -> ()
+      | Some e as entry -> (
+        match !acc with
+        | Some cur when not (Decision.better (p.route e) (p.route cur)) -> ()
+        | Some _ | None -> acc := entry))
+    p.adj_rib_in;
+  !acc
 
 let next_hop p =
   match p.best with None -> None | Some e -> Route.learned_from (p.route e)
@@ -60,24 +66,26 @@ let alternate ?(admit = fun _ -> true) p ~score =
   match p.best with
   | None -> None
   | Some best ->
-    let skip =
-      match Route.learned_from (p.route best) with Some nh -> nh | None -> -1
-    in
+    (* an entry's path starts at the neighbour it was learned from *)
+    let first_hop e = match (p.route e).as_path with nh :: _ -> nh | [] -> -1 in
+    let skip = first_hop best in
     let pick = ref None and pick_score = ref 0 in
-    Hashtbl.iter
-      (fun from e ->
-        if from <> skip && admit e then begin
-          let s = score e in
-          match !pick with
-          | Some cur
-            when s > !pick_score
-                 || (s = !pick_score
-                    && not (Decision.better (p.route e) (p.route cur))) ->
-            ()
-          | Some _ | None ->
-            pick := Some e;
-            pick_score := s
-        end)
+    Array.iter
+      (function
+        | None -> ()
+        | Some e as entry ->
+          if first_hop e <> skip && admit e then begin
+            let s = score e in
+            match !pick with
+            | Some cur
+              when s > !pick_score
+                   || (s = !pick_score
+                      && not (Decision.better (p.route e) (p.route cur))) ->
+              ()
+            | Some _ | None ->
+              pick := entry;
+              pick_score := s
+          end)
       p.adj_rib_in;
     !pick
 

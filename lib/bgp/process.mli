@@ -12,31 +12,45 @@
     The process is polymorphic in its RIB entry ['e] — a {!Route.t}, or
     STAMP's route plus its Lock bit — projected to a {!Route.t} by the
     [route] function given to {!create}, and in what a neighbour hears,
-    ['h] (an AS path, or a path plus Lock bit). *)
+    ['h] (an AS path, or a path plus Lock bit).
+
+    Per-neighbour state is flat: both RIBs are arrays indexed by {e slot},
+    a neighbour's index in [Topology.neighbors topo self]
+    ({!Topology.slot}), so learning, withdrawing and advertising index an
+    array instead of hashing. The entry in a neighbour's slot carries a
+    path that starts at that neighbour. Every scan over the RIB
+    ({!select}, {!alternate}, engines' purges) has a result independent
+    of slot order: {!Decision.better} is a total order over routes with
+    distinct next hops. *)
 
 type ('e, 'h) t = {
   self : Topology.vertex;  (** the router running the process *)
   route : 'e -> Route.t;  (** an entry's route *)
-  adj_rib_in : (Topology.vertex, 'e) Hashtbl.t;
-      (** neighbour → the route it currently announces *)
-  rib_out : (Topology.vertex, 'h) Hashtbl.t;
-      (** neighbour → what it last heard (see {!Session_core.advertise}) *)
+  adj_rib_in : 'e option array;
+      (** by slot: the route that neighbour currently announces *)
+  rib_out : 'h option array;
+      (** by slot: what that neighbour last heard (see
+          {!Session_core.advertise}) *)
   mutable best : 'e option;
 }
 
-val create : Topology.vertex -> route:('e -> Route.t) -> ('e, 'h) t
-(** An empty process at a router. *)
+val create :
+  Topology.vertex -> degree:int -> route:('e -> Route.t) -> ('e, 'h) t
+(** An empty process at a router with [degree] neighbours (slots). *)
 
 (** {1 Updating the RIBs} *)
 
-val learn : ('e, 'h) t -> from:Topology.vertex -> 'e -> unit
-(** Store a neighbour's announcement, or — when its path contains the
-    router itself — drop the neighbour's previous route (implicit
-    withdraw). *)
+val learn : ('e, 'h) t -> slot:int -> 'e -> unit
+(** Store the announcement of the neighbour in [slot], or — when its path
+    contains the router itself — drop that neighbour's previous route
+    (implicit withdraw). *)
 
-val forget : ('e, 'h) t -> Topology.vertex -> unit
-(** Session reset with one neighbour: its route and the record of what it
-    heard both go. *)
+val withdraw : ('e, 'h) t -> slot:int -> unit
+(** The neighbour in [slot] withdrew its route. *)
+
+val forget : ('e, 'h) t -> slot:int -> unit
+(** Session reset with the neighbour in [slot]: its route and the record
+    of what it heard both go. *)
 
 val clear : ('e, 'h) t -> unit
 (** Node failure: empty both RIBs and lose the best route. *)
@@ -46,7 +60,7 @@ val clear : ('e, 'h) t -> unit
 val select : ('e, 'h) t -> 'e option
 (** The Adj-RIB-In entry whose route is best by {!Decision.better};
     [None] on an empty RIB. Entries come from distinct neighbours, so the
-    result does not depend on hash order. *)
+    result does not depend on slot order. *)
 
 val decide :
   ?prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool

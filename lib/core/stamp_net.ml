@@ -14,7 +14,7 @@ type router = {
   loss_pending : bool array;
       (** per colour: our next updates are consequences of a route loss
           (ET=0) *)
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  export_deny : bool array;  (** by slot *)
 }
 
 type t = {
@@ -35,17 +35,17 @@ let proc r color = r.procs.(Color.to_int color)
 
 let blue_lock_held t r =
   r.v = t.dest
-  || Hashtbl.fold
-       (fun _ (e : entry) acc -> acc || e.lock)
-       (proc r Color.Blue).adj_rib_in false
+  || Array.exists
+       (function Some (e : entry) -> e.lock | None -> false)
+       (proc r Color.Blue).adj_rib_in
 
 (* The provider the locked blue route must be re-announced to: the first
-   alive provider in the AS's coloring preference order. *)
+   alive provider in the AS's coloring preference order; -1 when none. *)
 let designated_provider t r =
   let prefs = Coloring.preference t.coloring r.v in
   let rec scan i =
-    if i >= Array.length prefs then None
-    else if Session_core.link_up t.core r.v prefs.(i) then Some prefs.(i)
+    if i >= Array.length prefs then -1
+    else if Session_core.link_up t.core r.v prefs.(i) then prefs.(i)
     else scan (i + 1)
   in
   scan 0
@@ -56,18 +56,29 @@ let alive_provider_count t r =
     0
     (Topology.providers t.topo r.v)
 
-(* Single-homed origin chains relay both colours upward so the initial
-   colouring can happen at the first multi-homed ancestor (footnote 4). *)
-let is_relay t r ~red ~blue =
-  alive_provider_count t r = 1
-  && (r.v = t.dest
-     || red && blue
-        && Process.next_hop (proc r Red) = Process.next_hop (proc r Blue))
+(* The router-wide facts the selective-announcement plan reads. They do not
+   change while one router advertises (sending only schedules), so an
+   advertisement round computes them once for every neighbour. *)
+type plan = {
+  locked_to : Topology.vertex;
+      (** the designated provider when the router holds a locked blue
+          route, else -1 *)
+  single_homed : bool;  (** exactly one alive provider *)
+  same_next_hop : bool;  (** both colours' best routes share a next hop *)
+}
 
-(* What should neighbour [n] currently hear from [r] on process [color]?
-   Returns the (path, lock) announcement, or None for nothing/withdraw. *)
-let desired t r n color =
-  let to_rel = Session_core.rel t.core r.v n in
+let plan t r =
+  {
+    locked_to = (if blue_lock_held t r then designated_provider t r else -1);
+    single_homed = alive_provider_count t r = 1;
+    same_next_hop =
+      Process.next_hop (proc r Red) = Process.next_hop (proc r Blue);
+  }
+
+(* What should neighbour [n] (relationship [to_rel]) currently hear from
+   [r] on process [color]? The (path, lock) announcement, or None for
+   nothing/withdraw. *)
+let desired t r plan n to_rel color =
   (* the plan: announce the colour's valley-free path, with this lock bit *)
   let lock =
     match (to_rel : Relationship.t) with
@@ -75,10 +86,14 @@ let desired t r n color =
     | Provider -> begin
       let red = Process.exportable (proc r Red) ~to_:n ~to_rel
       and blue = Process.exportable (proc r Blue) ~to_:n ~to_rel in
-      let designated =
-        if blue_lock_held t r && blue then designated_provider t r else None
+      let designated = blue && n = plan.locked_to in
+      (* single-homed origin chains relay both colours upward so the
+         initial colouring can happen at the first multi-homed ancestor
+         (footnote 4) *)
+      let relay =
+        plan.single_homed
+        && (r.v = t.dest || (red && blue && plan.same_next_hop))
       in
-      let relay = is_relay t r ~red ~blue in
       match (color : Color.t) with
       | Blue ->
         (* Only the locked blue route propagates to providers (to exactly
@@ -89,14 +104,14 @@ let desired t r n color =
            withdrawal, punching transient holes into the blue tree. Blue
            still reaches every AS through the locked chain to a tier-1 and
            the unrestricted announcements to customers and peers. *)
-        if Some n = designated then Some true
+        if designated then Some true
         else if t.spread_unlocked_blue && (not red) && not relay then
           (* ablation mode: fill red-less providers with unlocked blue *)
           Some false
         else None
       | Red ->
         (* red yields the locked blue provider *)
-        if (not relay) && Some n = designated then None else Some false
+        if (not relay) && designated then None else Some false
     end
   in
   match lock with
@@ -107,12 +122,16 @@ let desired t r n color =
     | None -> None
   end
 
-let rec advertise_to t r n color =
+(* Advertise to the neighbour in slot [i] under a given plan. *)
+let rec advertise_planned t r plan i color =
   let c = Color.to_int color in
   let want =
-    if Hashtbl.mem r.export_deny n then None else desired t r n color
+    if r.export_deny.(i) then None
+    else
+      let n, to_rel = (Topology.neighbors t.topo r.v).(i) in
+      desired t r plan n to_rel color
   in
-  Session_core.advertise t.core ~proc:c ~src:r.v ~dst:n
+  Session_core.advertise t.core ~proc:c ~src:r.v ~slot:i
     ~rib_out:r.procs.(c).rib_out ~desired:want
     ~announce:(fun (path, lock) ->
       {
@@ -121,14 +140,19 @@ let rec advertise_to t r n color =
       })
     ~withdraw:(fun () ->
       { color; body = Withdraw { et_ok = not r.loss_pending.(c) } })
-    ~retry:(fun () -> advertise_to t r n color)
+    ~retry:(fun () -> advertise_to t r i color)
     ()
 
+and advertise_to t r i color = advertise_planned t r (plan t r) i color
+
+(* Both colours to every neighbour, in slot then {!Color.all} order, under
+   one plan. *)
 let advertise_all t r =
-  Array.iter
-    (fun (n, _) ->
-      List.iter (fun color -> advertise_to t r n color) Color.all)
-    (Topology.neighbors t.topo r.v)
+  let plan = plan t r in
+  for i = 0 to Topology.degree t.topo r.v - 1 do
+    advertise_planned t r plan i Red;
+    advertise_planned t r plan i Blue
+  done
 
 (* --- decision -------------------------------------------------------- *)
 
@@ -163,7 +187,7 @@ let recompute t r color ~loss =
         (Trace.Recolor { color = Color.to_string color; et_ok = not loss })
   end
 
-let receive t r ~from { color; body } =
+let receive t r ~slot { color; body } =
   if Session_core.node_up t.core r.v then begin
     let p = proc r color in
     (* the ET bit decides: a poisoning withdrawal sent while a *better*
@@ -177,12 +201,9 @@ let receive t r ~from { color; body } =
     in
     (match body with
     | Announce { path; lock; _ } ->
-      Process.learn p ~from
-        {
-          route = { as_path = path; cls = Session_core.rel t.core r.v from };
-          lock;
-        }
-    | Withdraw _ -> Hashtbl.remove p.adj_rib_in from);
+      let cls = snd (Topology.neighbors t.topo r.v).(slot) in
+      Process.learn p ~slot { route = { as_path = path; cls }; lock }
+    | Withdraw _ -> Process.withdraw p ~slot);
     recompute t r color ~loss;
     advertise_all t r
   end
@@ -196,12 +217,14 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
   if dest < 0 || dest >= n then invalid_arg "Stamp_net.create: bad destination";
   let routers =
     Array.init n (fun v ->
+        let degree = Topology.degree topo v in
         {
           v;
-          procs = Array.init 2 (fun _ -> Process.create v ~route:entry_route);
+          procs =
+            Array.init 2 (fun _ -> Process.create v ~degree ~route:entry_route);
           unstable = Array.make 2 false;
           loss_pending = Array.make 2 false;
-          export_deny = Hashtbl.create 2;
+          export_deny = Array.make degree false;
         })
   in
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
@@ -211,8 +234,8 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
       ~trace ~who:"Stamp_net" sim topo
   in
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t t.routers.(dst) ~from:src msg);
+  Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
+      receive t t.routers.(dst) ~slot msg);
   t
 
 let start t =
@@ -227,11 +250,12 @@ let start t =
    loses its best route marks the change as a loss; a session coming back
    re-establishes with empty state and loses nothing. *)
 let reset_session t r peer ~failure =
+  let slot = Topology.slot t.topo r.v peer in
   List.iter
     (fun color ->
       let p = proc r color in
       let loss = failure && Process.next_hop p = Some peer in
-      Process.forget p peer;
+      Process.forget p ~slot;
       recompute t r color ~loss)
     Color.all;
   advertise_all t r
@@ -275,25 +299,26 @@ let recover_node t v =
     (Topology.neighbors t.topo v)
 
 let deny_export t v n =
-  Session_core.check_adjacent t.core ~op:"deny_export" v n;
+  let slot = Session_core.slot t.core ~op:"deny_export" v n in
   let r = t.routers.(v) in
-  Hashtbl.replace r.export_deny n ();
+  r.export_deny.(slot) <- true;
   (* a policy change is a withdrawal-type event: the AS where it happens
      marks the resulting withdrawals ET=0 (Section 5.2) *)
   List.iter
     (fun color ->
       let p = proc r color in
-      if Hashtbl.mem p.rib_out n then begin
-        Hashtbl.remove p.rib_out n;
-        Session_core.send t.core ~src:v ~dst:n ~kind:`Withdraw
+      if Option.is_some p.rib_out.(slot) then begin
+        p.rib_out.(slot) <- None;
+        Session_core.send t.core ~src:v ~slot ~kind:`Withdraw
           { color; body = Withdraw { et_ok = false } }
       end)
     Color.all
 
 let allow_export t v n =
-  Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.routers.(v).export_deny n;
-  List.iter (fun c -> advertise_to t t.routers.(v) n c) Color.all
+  let slot = Session_core.slot t.core ~op:"allow_export" v n in
+  let r = t.routers.(v) in
+  r.export_deny.(slot) <- false;
+  List.iter (fun c -> advertise_to t r slot c) Color.all
 
 (* --- observation -------------------------------------------------------- *)
 
@@ -365,10 +390,11 @@ let walk_all t = Session_core.cached_walk t.core walk_fresh t
 let touch_fwd t = Session_core.touch_fwd t.core
 
 let announced t color v =
-  Hashtbl.fold
-    (fun n (_, lock) acc -> (n, lock) :: acc)
-    (proc t.routers.(v) color).rib_out []
-  |> List.sort compare
+  let nbrs = Topology.neighbors t.topo v
+  and heard = (proc t.routers.(v) color).rib_out in
+  List.filter_map
+    (fun i -> Option.map (fun (_, lock) -> (fst nbrs.(i), lock)) heard.(i))
+    (List.init (Array.length heard) Fun.id)
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

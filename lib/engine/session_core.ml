@@ -7,13 +7,14 @@ type 'msg t = {
   detect_delay : float;
   trace : Trace.sink;
   procs : int;
-  chans : (int, 'msg Channel.t) Hashtbl.t;  (* keyed by [link_key] *)
-  mrais : (int, Mrai.t) Hashtbl.t;  (* keyed by [mrai_key] *)
+  mutable chans : 'msg Channel.t array;  (* by directed edge id; set once *)
+  mutable mrais : Mrai.t array;  (* by edge id * procs + process; set once *)
   mutable last_change : float;
   mutable fwd_epoch : int;
   mutable walked_epoch : int;
   mutable walked : Fwd_walk.status array;
-  mutable handler : src:Topology.vertex -> dst:Topology.vertex -> 'msg -> unit;
+  mutable handler :
+    src:Topology.vertex -> dst:Topology.vertex -> slot:int -> 'msg -> unit;
 }
 
 (* Trace emission helpers: every call is guarded by [Trace.enabled], so a
@@ -32,16 +33,23 @@ let trace_node core v kind =
       ~loc:(Trace.Node (Topology.asn core.topo v))
       kind
 
-(* Int keys for the per-directed-link tables: a lookup (one per message)
-   then neither allocates a tuple nor hashes one. *)
-let link_key core u v = (u * Topology.num_vertices core.topo) + v
-let mrai_key core u v proc = (link_key core u v * core.procs) + proc
+let deliver core u v ~slot msg =
+  (* messages in flight when a link or endpoint fails are lost *)
+  if Link_state.link_up core.links u v then begin
+    trace_link core u v Trace.Deliver;
+    core.handler ~src:u ~dst:v ~slot msg
+  end
+  else begin
+    trace_link core u v Trace.Drop;
+    core.counters.lost_to_resets <- core.counters.lost_to_resets + 1
+  end
 
 let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
     ?(detect_delay = 0.) ?(procs = 1) ?(trace = Trace.null) ~who sim topo =
   if detect_delay < 0. || Float.is_nan detect_delay then
     invalid_arg (who ^ ".create: negative detect delay");
   if procs < 1 then invalid_arg (who ^ ".create: non-positive process count");
+  let edges = Topology.num_edges topo in
   let core =
     {
       sim;
@@ -52,46 +60,40 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       detect_delay;
       trace;
       procs;
-      chans = Hashtbl.create 64;
-      mrais = Hashtbl.create 64;
+      chans = [||];
+      mrais = [||];
       last_change = 0.;
       fwd_epoch = 0;
       walked_epoch = -1;
       walked = [||];
       handler =
-        (fun ~src:_ ~dst:_ _ ->
+        (fun ~src:_ ~dst:_ ~slot:_ _ ->
           invalid_arg (who ^ ": Session_core receive handler not installed"));
     }
   in
-  (* One ordered channel and [procs] MRAI timers per directed link, in the
-     fixed vertices × neighbors iteration order every engine historically
-     used. The order is part of the reproducibility contract: Mrai.create
-     draws one RNG float per timer, so any reordering would shift every
-     later draw and silently change all pinned experiment numbers. *)
-  Array.iter
-    (fun u ->
-      Array.iter
-        (fun (v, _) ->
-          let deliver msg =
-            (* messages in flight when a link or endpoint fails are lost *)
-            if Link_state.link_up core.links u v then begin
-              trace_link core u v Trace.Deliver;
-              core.handler ~src:u ~dst:v msg
-            end
-            else begin
-              trace_link core u v Trace.Drop;
-              core.counters.lost_to_resets <-
-                core.counters.lost_to_resets + 1
-            end
-          in
-          Hashtbl.replace core.chans (link_key core u v)
-            (Channel.create sim ~delay_lo ~delay_hi ~deliver);
-          for p = 0 to procs - 1 do
-            Hashtbl.replace core.mrais (mrai_key core u v p)
-              (Mrai.create (Sim.rng sim) ~base:mrai_base ())
-          done)
-        (Topology.neighbors topo u))
-    (Topology.vertices topo);
+  (* One ordered channel per directed edge, with the receiver-side slot
+     found once here. [Array.init] fills in increasing edge id, which is
+     vertices × neighbors order. *)
+  let src = ref 0 in
+  core.chans <-
+    Array.init edges (fun e ->
+        while Topology.first_edge topo (!src + 1) <= e do
+          incr src
+        done;
+        let u = !src in
+        let i = e - Topology.first_edge topo u in
+        let v = fst (Topology.neighbors topo u).(i) in
+        let slot = Topology.slot topo v u in
+        Channel.create sim ~delay_lo ~delay_hi
+          ~deliver:(deliver core u v ~slot));
+  (* [procs] MRAI timers per directed edge, by increasing edge id then
+     process. The order is part of the reproducibility contract: Mrai.create
+     draws one RNG float per timer (channels draw none), so any reordering
+     would shift every later draw and silently change all pinned experiment
+     numbers. *)
+  core.mrais <-
+    Array.init (edges * procs) (fun _ ->
+        Mrai.create (Sim.rng sim) ~base:mrai_base ());
   core
 
 let on_receive core handler = core.handler <- handler
@@ -130,12 +132,12 @@ let note_decision core ~node ~old_next ~new_next ~cause =
            cause;
          })
 
-let send core ~src ~dst ~kind msg =
+let send_edge core ~src ~dst ~edge ~kind msg =
   (match kind with
   | `Announce ->
     core.counters.announcements <- core.counters.announcements + 1
   | `Withdraw -> core.counters.withdrawals <- core.counters.withdrawals + 1);
-  let chan = Hashtbl.find core.chans (link_key core src dst) in
+  let chan = core.chans.(edge) in
   Channel.send chan msg;
   if Trace.enabled core.trace then
     trace_link core src dst
@@ -146,28 +148,35 @@ let send core ~src ~dst ~kind msg =
            deliver_at = Channel.last_delivery chan;
          })
 
-(* Reconcile what neighbour [dst] should currently hear from [src] with
-   what it last heard; send the delta, deferring announcements under MRAI.
-   [retry] re-enters the engine's own advertise path when a deferred flush
-   fires, so the desired value is recomputed at flush time. *)
-let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
-    ~retry () =
+let send core ~src ~slot ~kind msg =
+  send_edge core ~src
+    ~dst:(fst (Topology.neighbors core.topo src).(slot))
+    ~edge:(Topology.first_edge core.topo src + slot)
+    ~kind msg
+
+(* Reconcile what the neighbour in [slot] should currently hear from [src]
+   with what it last heard; send the delta, deferring announcements under
+   MRAI. [retry] re-enters the engine's own advertise path when a deferred
+   flush fires, so the desired value is recomputed at flush time. *)
+let advertise core ?(proc = 0) ~src ~slot ~rib_out ~desired ~announce
+    ~withdraw ~retry () =
+  let dst = fst (Array.unsafe_get (Topology.neighbors core.topo src) slot) in
   if Link_state.link_up core.links src dst then begin
-    let current = Hashtbl.find_opt rib_out dst in
-    match (desired, current) with
+    let edge = Topology.first_edge core.topo src + slot in
+    match (desired, rib_out.(slot)) with
     | None, None -> ()
     | None, Some _ ->
       (* withdrawals are immediate *)
-      Hashtbl.remove rib_out dst;
-      send core ~src ~dst ~kind:`Withdraw (withdraw ())
+      rib_out.(slot) <- None;
+      send_edge core ~src ~dst ~edge ~kind:`Withdraw (withdraw ())
     | Some p, Some p' when p = p' -> ()
     | Some p, (Some _ | None) ->
-      let m = Hashtbl.find core.mrais (mrai_key core src dst proc) in
+      let m = core.mrais.((edge * core.procs) + proc) in
       let now = Sim.now core.sim in
       if Mrai.ready m ~now then begin
         Mrai.note_sent m ~now;
-        Hashtbl.replace rib_out dst p;
-        send core ~src ~dst ~kind:`Announce (announce p)
+        rib_out.(slot) <- desired;
+        send_edge core ~src ~dst ~edge ~kind:`Announce (announce p)
       end
       else begin
         core.counters.mrai_deferrals <- core.counters.mrai_deferrals + 1;
@@ -185,17 +194,14 @@ let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
       end
   end
 
-let rel core u v =
-  match Topology.rel core.topo u v with
-  | Some r -> r
-  | None -> invalid_arg (core.who ^ ": vertices not adjacent")
-
-let check_adjacent core ~op u v =
-  if Topology.rel core.topo u v = None then
-    invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op)
+let slot core ~op u v =
+  let i = Topology.slot core.topo u v in
+  if i < 0 then
+    invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op);
+  i
 
 let fail_link core u v ~react =
-  check_adjacent core ~op:"fail_link" u v;
+  ignore (slot core ~op:"fail_link" u v : int);
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
@@ -208,7 +214,7 @@ let fail_link core u v ~react =
         react ())
 
 let recover_link core u v ~react =
-  check_adjacent core ~op:"recover_link" u v;
+  ignore (slot core ~op:"recover_link" u v : int);
   Link_state.recover_link core.links u v;
   touch_fwd core;
   trace_link core u v Trace.Session_up;

@@ -10,11 +10,17 @@
     hear and hands the delta to {!advertise}; the core owns {e when} and
     {e whether} the message travels.
 
-    Reproducibility contract: {!create} draws RNG floats in the exact
-    historical order (channels and MRAI timers per directed link, in
-    vertices × neighbors iteration order; one draw per MRAI timer), and
-    {!send} draws one float per message — so engines ported onto the core
-    reproduce their previous runs bit for bit. *)
+    State is flat: channels are indexed by directed edge id
+    ({!Topology.edge}), MRAI timers by edge id × [procs] + process, and
+    an engine's per-neighbour state by slot ({!Topology.slot}); nothing
+    on the per-message path hashes.
+
+    Reproducibility contract: {!create} draws one RNG float per MRAI
+    timer, in increasing edge id and then process order — edge ids follow
+    vertices × neighbors order, the order every engine has always used —
+    and channels draw none; {!send} and {!advertise} draw one float per
+    message sent. Any reordering would shift every later draw and change
+    every pinned experiment number. *)
 
 type 'msg t
 (** A session core carrying protocol messages of type ['msg]. *)
@@ -47,21 +53,27 @@ val create :
     [procs]. *)
 
 val on_receive :
-  'msg t -> (src:Topology.vertex -> dst:Topology.vertex -> 'msg -> unit) -> unit
-(** Install the engine's receive function. Must be called before the first
-    message is delivered; kept separate from {!create} so the engine can
-    close over its own state without perturbing construction order. *)
+  'msg t ->
+  (src:Topology.vertex -> dst:Topology.vertex -> slot:int -> 'msg -> unit) ->
+  unit
+(** Install the engine's receive function. It gets the message's sender,
+    its receiver, and [slot], the sender's slot at the receiver
+    ([Topology.slot topo dst src], found once per directed link at
+    {!create}). Must be called before the first message is delivered;
+    kept separate from {!create} so the engine can close over its own
+    state without perturbing construction order. *)
 
 (** {1 Sending} *)
 
 val send :
   'msg t ->
   src:Topology.vertex ->
-  dst:Topology.vertex ->
+  slot:int ->
   kind:[ `Announce | `Withdraw ] ->
   'msg ->
   unit
-(** Send one message on the directed link, bumping the matching counter.
+(** Send one message to the neighbour in [src]'s [slot], bumping the
+    matching counter.
     Used directly for updates outside the MRAI regime (R-BGP failover
     paths, STAMP's immediate policy withdrawals); regular best-route
     deltas go through {!advertise}. *)
@@ -70,22 +82,22 @@ val advertise :
   'msg t ->
   ?proc:int ->
   src:Topology.vertex ->
-  dst:Topology.vertex ->
-  rib_out:(Topology.vertex, 'adv) Hashtbl.t ->
+  slot:int ->
+  rib_out:'adv option array ->
   desired:'adv option ->
   announce:('adv -> 'msg) ->
   withdraw:(unit -> 'msg) ->
   retry:(unit -> unit) ->
   unit ->
   unit
-(** The shared advertisement skeleton: compare [desired] (what the
-    neighbour should currently hear, [None] for nothing) against
-    [rib_out]'s record of what it last heard, then send the delta —
-    withdrawals immediately, announcements under the [(src, dst, proc)]
-    MRAI timer, deferring with a single scheduled flush when the timer is
-    not ready. [retry] must re-enter the engine's own advertise path (so
-    the desired value is recomputed when the flush fires). No-op while the
-    link is down. *)
+(** The shared advertisement skeleton for the neighbour in [src]'s
+    [slot]: compare [desired] (what it should currently hear, [None] for
+    nothing) against [rib_out.(slot)], the record of what it last heard,
+    then send the delta — withdrawals immediately, announcements under the
+    [(src, slot, proc)] MRAI timer, deferring with a single scheduled flush
+    when the timer is not ready. [retry] must re-enter the engine's own
+    advertise path (so the desired value is recomputed when the flush
+    fires). No-op while the link is down. *)
 
 (** {1 Failure bookkeeping} *)
 
@@ -104,14 +116,9 @@ val recover_link :
 val fail_node : 'msg t -> Topology.vertex -> unit
 val recover_node : 'msg t -> Topology.vertex -> unit
 
-val rel : 'msg t -> Topology.vertex -> Topology.vertex -> Relationship.t
-(** The relationship of the second vertex as seen from the first.
-    @raise Invalid_argument ["<who>: vertices not adjacent"] when the pair
-    shares no link. *)
-
-val check_adjacent :
-  'msg t -> op:string -> Topology.vertex -> Topology.vertex -> unit
-(** Validation helper for engine operations on a vertex pair:
+val slot : 'msg t -> op:string -> Topology.vertex -> Topology.vertex -> int
+(** [slot core ~op u v]: [v]'s slot at [u], for engine operations named by
+    a vertex pair.
     @raise Invalid_argument ["<who>.<op>: vertices not adjacent"] when the
     pair shares no link. *)
 

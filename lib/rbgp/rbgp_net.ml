@@ -8,15 +8,15 @@ type msg =
 
 type router = {
   proc : (Route.t, Topology.vertex list) Process.t;
-  failover_rib : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-      (** failover paths received: advertiser → pinned path starting at the
-          advertiser *)
+  failover_rib : Topology.vertex list option array;
+      (** failover paths received, by the advertiser's slot: the pinned
+          path, starting at the advertiser *)
   mutable failover_out : (Topology.vertex * Topology.vertex list) option;
       (** (receiver, path) of our currently advertised failover path *)
   mutable withdrawn : Route.t option;
       (** the last best route after it was withdrawn: R-BGP keeps
           forwarding along it until an alternative is learned *)
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  export_deny : bool array;  (** by slot *)
   mutable known_causes : cause list;
   mutable last_cause : cause option;
 }
@@ -53,16 +53,20 @@ let path_hits_cause path cause =
 
 (* --- primary-route advertisement (shared Session_core skeleton) ------ *)
 
-let rec advertise_to t r n =
+(* [i] is the neighbour's slot at the router. *)
+let rec advertise_to t r i =
   let p = r.proc in
   let desired =
-    if Hashtbl.mem r.export_deny n then None
-    else Process.export p ~to_:n ~to_rel:(Session_core.rel t.core p.self n)
+    if r.export_deny.(i) then None
+    else
+      let n, to_rel = (Topology.neighbors t.topo p.self).(i) in
+      Process.export p ~to_:n ~to_rel
   in
-  Session_core.advertise t.core ~src:p.self ~dst:n ~rib_out:p.rib_out ~desired
+  Session_core.advertise t.core ~src:p.self ~slot:i ~rib_out:p.rib_out
+    ~desired
     ~announce:(fun path -> Announce { path; rci = r.last_cause })
     ~withdraw:(fun () -> Withdraw { rci = r.last_cause })
-    ~retry:(fun () -> advertise_to t r n)
+    ~retry:(fun () -> advertise_to t r i)
     ()
 
 (* --- failover-path advertisement ------------------------------------ *)
@@ -80,14 +84,16 @@ let update_failover t r =
     | Some b -> begin
       match Route.learned_from b with
       | None -> None (* destination itself *)
-      | Some nh when Hashtbl.mem r.export_deny nh -> None
+      | Some nh when r.export_deny.(Topology.slot t.topo p.self nh) -> None
       | Some nh -> begin
         match
           Process.alternate p
             ~admit:(fun alt -> not (Route.contains alt nh))
             ~score:(fun alt ->
-              List.length
-                (List.filter (fun x -> List.mem x b.as_path) alt.as_path))
+              List.fold_left
+                (fun shared x ->
+                  if List.mem x b.as_path then shared + 1 else shared)
+                0 alt.as_path)
         with
         | None -> None
         | Some alt -> Some (nh, p.self :: alt.as_path)
@@ -103,20 +109,24 @@ let update_failover t r =
     | Some (prev, _)
       when (match desired with Some (n, _) -> n <> prev | None -> true)
            && Session_core.link_up t.core p.self prev ->
-      Session_core.send t.core ~src:p.self ~dst:prev ~kind:`Withdraw
+      Session_core.send t.core ~src:p.self
+        ~slot:(Topology.slot t.topo p.self prev)
+        ~kind:`Withdraw
         (Failover { path = None; rci = r.last_cause })
     | Some _ | None -> ());
     (match desired with
     | Some (n, path) when Session_core.link_up t.core p.self n ->
-      Session_core.send t.core ~src:p.self ~dst:n ~kind:`Announce
+      Session_core.send t.core ~src:p.self
+        ~slot:(Topology.slot t.topo p.self n)
+        ~kind:`Announce
         (Failover { path = Some path; rci = r.last_cause })
     | Some _ | None -> ());
     r.failover_out <- desired
 
 let advertise_all t r =
-  Array.iter
-    (fun (n, _) -> advertise_to t r n)
-    (Topology.neighbors t.topo r.proc.self);
+  for i = 0 to Topology.degree t.topo r.proc.self - 1 do
+    advertise_to t r i
+  done;
   update_failover t r
 
 (* --- RCI purge ------------------------------------------------------- *)
@@ -124,14 +134,13 @@ let advertise_all t r =
 let learn_cause t r cause =
   if t.rci && not (List.exists (cause_equal cause) r.known_causes) then begin
     r.known_causes <- cause :: r.known_causes;
-    let purge tbl path =
-      let stale =
-        Hashtbl.fold
-          (fun from x acc ->
-            if path_hits_cause (path x) cause then from :: acc else acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) stale
+    let purge rib path =
+      Array.iteri
+        (fun i x ->
+          match x with
+          | Some x when path_hits_cause (path x) cause -> rib.(i) <- None
+          | Some _ | None -> ())
+        rib
     in
     purge r.proc.adj_rib_in (fun (rt : Route.t) -> rt.as_path);
     Session_core.touch_fwd t.core;
@@ -156,7 +165,7 @@ let recompute t r =
   end
   else update_failover t r
 
-let receive t r ~from msg =
+let receive t r ~slot msg =
   if Session_core.node_up t.core r.proc.self then begin
     let rci =
       match msg with
@@ -168,21 +177,23 @@ let receive t r ~from msg =
       let stale =
         t.rci && List.exists (fun c -> path_hits_cause path c) r.known_causes
       in
-      if stale then Hashtbl.remove r.proc.adj_rib_in from
+      if stale then Process.withdraw r.proc ~slot
       else
-        Process.learn r.proc ~from
-          { as_path = path; cls = Session_core.rel t.core r.proc.self from }
-    | Withdraw _ -> Hashtbl.remove r.proc.adj_rib_in from
+        Process.learn r.proc ~slot
+          {
+            as_path = path;
+            cls = snd (Topology.neighbors t.topo r.proc.self).(slot);
+          }
+    | Withdraw _ -> Process.withdraw r.proc ~slot
     | Failover { path = None; _ } ->
       Session_core.touch_fwd t.core;
-      Hashtbl.remove r.failover_rib from
+      r.failover_rib.(slot) <- None
     | Failover { path = Some p; _ } ->
       Session_core.touch_fwd t.core;
       let stale =
         t.rci && List.exists (fun c -> path_hits_cause p c) r.known_causes
       in
-      if stale then Hashtbl.remove r.failover_rib from
-      else Hashtbl.replace r.failover_rib from p);
+      r.failover_rib.(slot) <- (if stale then None else Some p));
     recompute t r
   end
 
@@ -192,12 +203,13 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
   if dest < 0 || dest >= n then invalid_arg "Rbgp_net.create: bad destination";
   let routers =
     Array.init n (fun v ->
+        let degree = Topology.degree topo v in
         {
-          proc = Process.create v ~route:Fun.id;
-          failover_rib = Hashtbl.create 4;
+          proc = Process.create v ~degree ~route:Fun.id;
+          failover_rib = Array.make degree None;
           failover_out = None;
           withdrawn = None;
-          export_deny = Hashtbl.create 2;
+          export_deny = Array.make degree false;
           known_causes = [];
           last_cause = None;
         })
@@ -207,24 +219,25 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
       ~who:"Rbgp_net" sim topo
   in
   let t = { core; topo; dest; rci; routers } in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t t.routers.(dst) ~from:src msg);
+  Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
+      receive t t.routers.(dst) ~slot msg);
   t
 
 let start t = recompute t t.routers.(t.dest)
 
 (* Session reset at [r] with [peer], failover paths included. *)
-let reset_session r peer =
-  Process.forget r.proc peer;
-  Hashtbl.remove r.failover_rib peer;
+let reset_session t r peer =
+  let slot = Topology.slot t.topo r.proc.self peer in
+  Process.forget r.proc ~slot;
+  r.failover_rib.(slot) <- None;
   match r.failover_out with
   | Some (n, _) when n = peer -> r.failover_out <- None
   | Some _ | None -> ()
 
 let drop_session t u v =
   Session_core.touch_fwd t.core;
-  reset_session t.routers.(u) v;
-  reset_session t.routers.(v) u
+  reset_session t t.routers.(u) v;
+  reset_session t t.routers.(v) u
 
 (* A recovered element's root cause clears everywhere: paths through it
    are valid again. [last_cause] must go too, or re-announcements would
@@ -257,8 +270,8 @@ let recover_link t u v =
   Session_core.recover_link t.core u v ~react:(fun () ->
       drop_session t u v;
       clear_cause t (Link (u, v));
-      advertise_to t t.routers.(u) v;
-      advertise_to t t.routers.(v) u;
+      advertise_to t t.routers.(u) (Topology.slot t.topo u v);
+      advertise_to t t.routers.(v) (Topology.slot t.topo v u);
       update_failover t t.routers.(u);
       update_failover t t.routers.(v))
 
@@ -266,13 +279,13 @@ let fail_node t v =
   Session_core.fail_node t.core v;
   let r = t.routers.(v) in
   Process.clear r.proc;
-  Hashtbl.reset r.failover_rib;
+  Array.fill r.failover_rib 0 (Array.length r.failover_rib) None;
   r.failover_out <- None;
   let cause = Node v in
   Array.iter
     (fun (n, _) ->
       let rn = t.routers.(n) in
-      reset_session rn v;
+      reset_session t rn v;
       learn_cause t rn cause;
       recompute t rn)
     (Topology.neighbors t.topo v)
@@ -288,31 +301,27 @@ let recover_node t v =
   (* re-originates if [v] is the destination; otherwise waits for
      neighbours to re-announce *)
   recompute t r;
-  Array.iter
-    (fun (n, _) ->
-      advertise_to t t.routers.(n) v;
-      advertise_to t r n;
+  Array.iteri
+    (fun i (n, _) ->
+      advertise_to t t.routers.(n) (Topology.slot t.topo n v);
+      advertise_to t r i;
       update_failover t t.routers.(n))
     (Topology.neighbors t.topo v)
 
-let deny_export t v n =
-  Session_core.check_adjacent t.core ~op:"deny_export" v n;
-  Hashtbl.replace t.routers.(v).export_deny n ();
-  advertise_to t t.routers.(v) n;
-  update_failover t t.routers.(v)
+let set_export t v n ~op ~deny =
+  let i = Session_core.slot t.core ~op v n in
+  let r = t.routers.(v) in
+  r.export_deny.(i) <- deny;
+  advertise_to t r i;
+  update_failover t r
 
-let allow_export t v n =
-  Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.routers.(v).export_deny n;
-  advertise_to t t.routers.(v) n;
-  update_failover t t.routers.(v)
+let deny_export t v n = set_export t v n ~op:"deny_export" ~deny:true
+let allow_export t v n = set_export t v n ~op:"allow_export" ~deny:false
 
 let best t v = t.routers.(v).proc.best
 
 let failover_choices t v =
-  Hashtbl.fold (fun from p acc -> (from, p) :: acc) t.routers.(v).failover_rib []
-  |> List.sort compare
-  |> List.map snd
+  List.filter_map Fun.id (Array.to_list t.routers.(v).failover_rib)
 
 (* A pinned failover path delivers iff every hop is alive. *)
 let pinned_alive t path =
@@ -349,17 +358,16 @@ let walk_fresh t =
              stale failover paths were purged, so the pick is trustworthy;
              without RCI the packet follows a possibly dead path and is
              lost. *)
-          let from =
-            Hashtbl.fold
-              (fun from _ acc ->
-                if (acc < 0 || from < acc) && Link_state.link_up links v from
-                then from
-                else acc)
-              r.failover_rib (-1)
+          let nbrs = Topology.neighbors t.topo v in
+          let rec pick i =
+            if i >= Array.length nbrs then Fwd_walk.drop
+            else
+              match r.failover_rib.(i) with
+              | Some path when Link_state.link_up links v (fst nbrs.(i)) ->
+                if pinned_alive t path then Fwd_walk.deliver else Fwd_walk.drop
+              | Some _ | None -> pick (i + 1)
           in
-          if from >= 0 && pinned_alive t (Hashtbl.find r.failover_rib from)
-          then Fwd_walk.deliver
-          else Fwd_walk.drop
+          pick 0
         end
     end
   in

@@ -1,87 +1,132 @@
-(* Slots at or beyond [size] hold [Empty], never a cell: a popped event's
-   payload (a closure capturing engine state, in a simulation) must not
-   stay reachable from the heap. *)
-type 'a slot = Empty | Cell of { time : float; seq : int; payload : 'a }
+(* A binary min-heap kept as a struct of arrays: times unboxed in a
+   [Float.Array], insertion sequence numbers in an [int array], payloads in
+   a slot array. Sifting moves a hole instead of swapping, so each level
+   costs one write per array. Slots at or beyond [size] hold [Empty]: a
+   popped event's payload (a closure capturing engine state, in a
+   simulation) must not stay reachable from the heap. *)
+type 'a slot = Empty | Full of 'a
 
 type 'a t = {
-  mutable data : 'a slot array;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable payloads : 'a slot array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
-
-(* Earlier time first, then insertion order; [Empty] sorts last. *)
-let slot_lt a b =
-  match (a, b) with
-  | Cell a, Cell b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
-  | Cell _, Empty -> true
-  | Empty, (Cell _ | Empty) -> false
+let create () =
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    payloads = [||];
+    size = 0;
+    next_seq = 0;
+  }
 
 let grow t =
-  let cap = Array.length t.data in
+  let cap = Array.length t.seqs in
   if t.size = cap then begin
-    let data = Array.make (max 16 (cap * 2)) Empty in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
+    let cap' = max 16 (cap * 2) in
+    let times = Float.Array.create cap' in
+    Float.Array.blit t.times 0 times 0 t.size;
+    let seqs = Array.make cap' 0 in
+    Array.blit t.seqs 0 seqs 0 t.size;
+    let payloads = Array.make cap' Empty in
+    Array.blit t.payloads 0 payloads 0 t.size;
+    t.times <- times;
+    t.seqs <- seqs;
+    t.payloads <- payloads
   end
+
+(* Earlier time first, then insertion order. *)
+let before t i ~time ~seq =
+  let ti = Float.Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
+
+let move t ~src ~dst =
+  Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
+  Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
+  Array.unsafe_set t.payloads dst (Array.unsafe_get t.payloads src)
+
+let place t i ~time ~seq payload =
+  Float.Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.payloads i payload
 
 let push t ~time payload =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
-  let cell = Cell { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   grow t;
-  (* sift up *)
+  (* sift the hole up from the new last slot; a newer event never
+     overtakes an equal time, so only a strictly later parent moves down *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.data.(!i) <- cell;
-  let continue = ref true in
-  while !continue && !i > 0 do
+  while
+    !i > 0
+    &&
     let parent = (!i - 1) / 2 in
-    if slot_lt t.data.(!i) t.data.(parent) then begin
-      let tmp = t.data.(parent) in
-      t.data.(parent) <- t.data.(!i);
-      t.data.(!i) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
+    Float.Array.unsafe_get t.times parent > time
+  do
+    let parent = (!i - 1) / 2 in
+    move t ~src:parent ~dst:!i;
+    i := parent
+  done;
+  place t !i ~time ~seq (Full payload)
 
-let root t = if t.size = 0 then Empty else t.data.(0)
+let next_time t =
+  if t.size = 0 then invalid_arg "Event_heap.next_time: empty heap";
+  Float.Array.unsafe_get t.times 0
 
-let pop_min t =
-  match root t with
-  | Empty -> None
-  | Cell top ->
-    t.size <- t.size - 1;
-    if t.size = 0 then
-      (* release the backing array: it may have grown large in a burst *)
-      t.data <- [||]
-    else begin
-      t.data.(0) <- t.data.(t.size);
-      t.data.(t.size) <- Empty;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && slot_lt t.data.(l) t.data.(!smallest) then
-          smallest := l;
-        if r < t.size && slot_lt t.data.(r) t.data.(!smallest) then
-          smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.data.(!smallest) in
-          t.data.(!smallest) <- t.data.(!i);
-          t.data.(!i) <- tmp;
-          i := !smallest
+let take t =
+  if t.size = 0 then invalid_arg "Event_heap.take: empty heap";
+  let top = Array.unsafe_get t.payloads 0 in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last = 0 then begin
+    (* release the backing arrays: they may have grown large in a burst *)
+    t.times <- Float.Array.create 0;
+    t.seqs <- [||];
+    t.payloads <- [||]
+  end
+  else begin
+    (* sift the hole down from the root, then fill it with the last event *)
+    let time = Float.Array.unsafe_get t.times last
+    and seq = Array.unsafe_get t.seqs last
+    and payload = Array.unsafe_get t.payloads last in
+    Array.unsafe_set t.payloads last Empty;
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= last then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < last && before t r ~time:(Float.Array.unsafe_get t.times l)
+                           ~seq:(Array.unsafe_get t.seqs l)
+          then r
+          else l
+        in
+        if before t c ~time ~seq then begin
+          move t ~src:c ~dst:!i;
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (top.time, top.payload)
+      end
+    done;
+    place t !i ~time ~seq payload
+  end;
+  match top with Full x -> x | Empty -> assert false
 
-let peek_time t = match root t with Empty -> None | Cell c -> Some c.time
+let pop_min t =
+  if t.size = 0 then None
+  else
+    let time = Float.Array.unsafe_get t.times 0 in
+    Some (time, take t)
+
+let peek_time t =
+  if t.size = 0 then None else Some (Float.Array.unsafe_get t.times 0)
 
 let size t = t.size
 let is_empty t = t.size = 0

@@ -27,36 +27,32 @@ let schedule_at t ~time f =
   Event_heap.push t.heap ~time f
 
 let step t =
-  match Event_heap.pop_min t.heap with
-  | None -> false
-  | Some (time, f) ->
-    t.clock <- time;
+  if Event_heap.is_empty t.heap then false
+  else begin
+    t.clock <- Event_heap.next_time t.heap;
+    let f = Event_heap.take t.heap in
     t.events_processed <- t.events_processed + 1;
     f t;
     true
+  end
+
+(* Whether the earliest pending event is due at or before [until]; reads
+   the heap without allocating an option per event. *)
+let due t ~until =
+  (not (Event_heap.is_empty t.heap)) && Event_heap.next_time t.heap <= until
 
 let run ?(until = infinity) ?(max_events = max_int) t =
   let processed = ref 0 in
-  let continue = ref true in
-  while !continue && !processed < max_events do
-    match Event_heap.peek_time t.heap with
-    | None -> continue := false
-    | Some time when time > until -> continue := false
-    | Some _ ->
-      ignore (step t);
-      incr processed
+  while !processed < max_events && due t ~until do
+    ignore (step t);
+    incr processed
   done;
   (* virtual time passes even when nothing happens: advance the clock to
      the horizon so callers can step a simulation in fixed increments —
      but only when no pending event is due at or before the horizon
      (the loop may have stopped on [max_events] with work left; warping
      past it would make the next [step] run time backwards) *)
-  let no_due_event =
-    match Event_heap.peek_time t.heap with
-    | None -> true
-    | Some time -> time > until
-  in
-  if Float.is_finite until && t.clock < until && no_due_event then
+  if Float.is_finite until && t.clock < until && not (due t ~until) then
     t.clock <- until
 
 type verdict = Converged | Event_budget_exhausted | Time_budget_exhausted
@@ -73,20 +69,19 @@ let run_guarded ?(until = infinity) ?(max_events = max_int) t =
   let verdict = ref Converged in
   let continue = ref true in
   while !continue do
-    match Event_heap.peek_time t.heap with
-    | None -> continue := false
-    | Some time when time > until ->
+    if Event_heap.is_empty t.heap then continue := false
+    else if Event_heap.next_time t.heap > until then begin
       verdict := Time_budget_exhausted;
       continue := false
-    | Some _ ->
-      if !processed >= max_events then begin
-        verdict := Event_budget_exhausted;
-        continue := false
-      end
-      else begin
-        ignore (step t);
-        incr processed
-      end
+    end
+    else if !processed >= max_events then begin
+      verdict := Event_budget_exhausted;
+      continue := false
+    end
+    else begin
+      ignore (step t);
+      incr processed
+    end
   done;
   !verdict
 

@@ -4,6 +4,8 @@ type t = {
   asn_of_vertex : int array;
   vertex_of_asn : (int, int) Hashtbl.t;
   adj : (vertex * Relationship.t) array array;
+  first_edge : int array;
+      (* [first_edge.(v)]: id of [v]'s first directed adjacency; length n+1 *)
   providers : vertex array array;
   customers : vertex array array;
   peers : vertex array array;
@@ -77,6 +79,10 @@ module Builder = struct
                neighbours []))
         adj
     in
+    let first_edge = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      first_edge.(v + 1) <- first_edge.(v) + Array.length adj.(v)
+    done;
     let providers = select Relationship.Provider in
     let customers = select Relationship.Customer in
     let peers = select Relationship.Peer in
@@ -96,6 +102,7 @@ module Builder = struct
       asn_of_vertex;
       vertex_of_asn;
       adj;
+      first_edge;
       providers;
       customers;
       peers;
@@ -114,15 +121,30 @@ let providers t v = t.providers.(v)
 let customers t v = t.customers.(v)
 let peers t v = t.peers.(v)
 
-let rel t u v =
+(* Binary search: [adj.(u)] is sorted by neighbour. *)
+let slot t u v =
   let a = t.adj.(u) in
-  let rec loop i =
-    if i >= Array.length a then None
+  let rec search lo hi =
+    if lo >= hi then -1
     else
-      let w, r = a.(i) in
-      if w = v then Some r else loop (i + 1)
+      let mid = (lo + hi) lsr 1 in
+      let w = fst (Array.unsafe_get a mid) in
+      if w = v then mid
+      else if w < v then search (mid + 1) hi
+      else search lo mid
   in
-  loop 0
+  search 0 (Array.length a)
+
+let rel t u v =
+  let i = slot t u v in
+  if i < 0 then None else Some (snd t.adj.(u).(i))
+
+let num_edges t = t.first_edge.(num_vertices t)
+let first_edge t v = t.first_edge.(v)
+
+let edge t u v =
+  let i = slot t u v in
+  if i < 0 then -1 else t.first_edge.(u) + i
 
 let degree t v = Array.length t.adj.(v)
 let num_links t = t.num_links

@@ -69,7 +69,32 @@ val peers : t -> vertex -> vertex array
 
 val rel : t -> vertex -> vertex -> Relationship.t option
 (** [rel t u v] is the relationship of [v] as seen from [u], if the link
-    exists. *)
+    exists. A binary search over [neighbors t u]. *)
+
+(** {2 Slots and directed-edge ids}
+
+    Per-neighbour state is kept in flat arrays rather than hash tables. A
+    {e slot} is a neighbour's index in {!neighbors}: [w]'s slot at [v] is
+    [i] iff [fst (neighbors t v).(i) = w]. Every directed adjacency
+    [(v, w)] also has a dense {e edge id} in [[0, num_edges t)]:
+    [first_edge t v + slot t v w]. Ids follow vertices × neighbours order,
+    so iterating vertices then {!neighbors} visits edge ids in increasing
+    order. *)
+
+val slot : t -> vertex -> vertex -> int
+(** [slot t v w] is [w]'s index in [neighbors t v], or [-1] when the two
+    are not adjacent. A binary search; allocation-free. *)
+
+val num_edges : t -> int
+(** Number of directed adjacencies: twice {!num_links}. *)
+
+val first_edge : t -> vertex -> int
+(** Edge id of [v]'s slot 0; [v]'s adjacency ids are
+    [first_edge t v .. first_edge t v + degree t v - 1]. *)
+
+val edge : t -> vertex -> vertex -> int
+(** Edge id of the directed adjacency [(v, w)], or [-1] when the two are
+    not adjacent. *)
 
 val degree : t -> vertex -> int
 (** Total number of neighbours. *)

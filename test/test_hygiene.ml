@@ -117,6 +117,22 @@ let rules =
       allowed = contains_fragment [ "bgp/process.ml" ];
       why = "install best routes with Process.decide";
     };
+    (* The per-message path is flat: channels and MRAI timers are indexed
+       by directed edge id, RIBs by neighbour slot. A hash table in the
+       session core or the routing process would bring back a hash per
+       message. *)
+    {
+      name = "flat hot path in Session_core and Process";
+      patterns = [ "Hashtbl" ];
+      dirs = [ "lib" ];
+      allowed =
+        (fun path ->
+          not
+            (contains_fragment
+               [ "engine/session_core.ml"; "bgp/process.ml" ]
+               path));
+      why = "index by Topology edge id or neighbour slot";
+    };
     (* Obj.magic defeats the type system wholesale; nothing in a
        simulator of this size justifies it. *)
     {

@@ -39,22 +39,37 @@ let prop_select_returns_maximum =
       | Some best -> not (List.exists (fun r -> Decision.better r best) rs))
 
 (* The list-free fold picks what [Decision.select] picks from the RIB's
-   values, whatever the hash order: RIB entries come from distinct
-   neighbours, so their next hops differ and [better] is a total order. *)
+   values, whatever the slot order: RIB entries come from distinct
+   neighbours, so their next hops differ and [better] is a total order.
+   Slots are handed out in order of first appearance, which is unrelated
+   to the neighbours' numbering. *)
 let prop_process_select_is_decision_select =
   Test_support.qtest "process: select = Decision.select over the RIB"
     QCheck2.Gen.(list_size (int_range 0 20) gen_route)
     QCheck2.Print.(list print_route)
     (fun rs ->
-      let p = Process.create 1000 ~route:Fun.id in
+      let froms =
+        List.fold_left
+          (fun acc (r : Route.t) ->
+            let from = List.hd r.as_path in
+            if List.mem from acc then acc else acc @ [ from ])
+          [] rs
+      in
+      let slot_of from =
+        let rec find i = function
+          | x :: rest -> if x = from then i else find (i + 1) rest
+          | [] -> assert false
+        in
+        find 0 froms
+      in
+      let p = Process.create 1000 ~degree:(List.length froms) ~route:Fun.id in
       List.iter
         (fun (r : Route.t) ->
-          let from = List.hd r.as_path in
-          if not (Hashtbl.mem p.adj_rib_in from) then Process.learn p ~from r)
+          let slot = slot_of (List.hd r.as_path) in
+          if p.adj_rib_in.(slot) = None then Process.learn p ~slot r)
         rs;
       Process.select p
-      = Decision.select
-          (Hashtbl.fold (fun _ r acc -> r :: acc) p.adj_rib_in []))
+      = Decision.select (List.filter_map Fun.id (Array.to_list p.adj_rib_in)))
 
 (* --- Export policy ------------------------------------------------------ *)
 

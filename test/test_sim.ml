@@ -89,6 +89,46 @@ let prop_heap_sorts =
       in
       drain neg_infinity)
 
+(* Model-based: interleaved pushes and pops, times drawn from four values
+   so that ties are common, against a reference queue ordered by (time,
+   insertion order). Every pop must return the reference's (time,
+   payload); payloads are insertion indices. *)
+type heap_op = Push of float | Pop
+
+let prop_heap_model =
+  Test_support.qtest ~count:300 "interleaved push/pop = (time, insertion) model"
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [
+             (3, map (fun k -> Push (float_of_int k)) (int_range 0 3));
+             (2, pure Pop);
+           ]))
+    QCheck2.Print.(
+      list (function Push t -> Printf.sprintf "push %g" t | Pop -> "pop"))
+    (fun ops ->
+      let h = Event_heap.create () in
+      (* the model: pending (time, index) pairs, kept sorted *)
+      let model = ref [] and next = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push time ->
+            Event_heap.push h ~time !next;
+            model := List.merge compare !model [ (time, !next) ];
+            incr next;
+            Event_heap.size h = List.length !model
+          | Pop -> (
+            let got = Event_heap.pop_min h in
+            match !model with
+            | [] -> got = None
+            | top :: rest ->
+              model := rest;
+              got = Some top))
+        ops
+      && List.for_all (fun top -> Event_heap.pop_min h = Some top) !model
+      && Event_heap.is_empty h)
+
 (* --- Sim -------------------------------------------------------------- *)
 
 let test_sim_schedule_order () =
@@ -345,6 +385,7 @@ let () =
           Alcotest.test_case "popped payloads collectable" `Quick
             test_heap_releases_popped;
           prop_heap_sorts;
+          prop_heap_model;
         ] );
       ( "sim",
         [

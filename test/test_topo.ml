@@ -93,6 +93,73 @@ let prop_generator_deterministic =
       let t1 = Topo_gen.generate p and t2 = Topo_gen.generate p in
       Topo_io.relationships_to_string t1 = Topo_io.relationships_to_string t2)
 
+(* --- Slots and directed-edge ids ---------------------------------------- *)
+
+(* Every claim of the slot/edge-id interface, checked against linear scans
+   of [neighbors]: edge ids are a bijection from the directed adjacencies
+   onto [0, num_edges); a neighbour's slot is its index; non-adjacent
+   pairs (out-of-range vertices included) get -1 and no relationship; and
+   the binary-search [rel] agrees with a scan for every pair. *)
+let slots_and_edges_consistent t =
+  let n = Topology.num_vertices t in
+  let m = Topology.num_edges t in
+  let hits = Array.make m 0 in
+  let ok = ref (m = 2 * Topology.num_links t) in
+  let check b = ok := !ok && b in
+  for v = 0 to n - 1 do
+    let nbrs = Topology.neighbors t v in
+    check
+      (Topology.first_edge t v + Array.length nbrs
+      = Topology.first_edge t (v + 1));
+    Array.iteri
+      (fun i (w, r) ->
+        let e = Topology.edge t v w in
+        check (Topology.slot t v w = i);
+        check (e = Topology.first_edge t v + i);
+        if e >= 0 && e < m then hits.(e) <- hits.(e) + 1 else check false;
+        check (Topology.rel t v w = Some r))
+      nbrs;
+    for w = -1 to n do
+      let scan =
+        Array.fold_left
+          (fun acc (x, r) -> if x = w then Some r else acc)
+          None nbrs
+      in
+      check (Topology.rel t v w = scan);
+      if scan = None then
+        check (Topology.slot t v w = -1 && Topology.edge t v w = -1)
+    done
+  done;
+  !ok && Array.for_all (fun h -> h = 1) hits
+
+let prop_slots_and_edges =
+  Test_support.qtest ~count:40 "slots and edge ids (generated)"
+    Test_support.gen_params Test_support.print_params (fun p ->
+      slots_and_edges_consistent (Topo_gen.generate p))
+
+let test_slots_and_edges_examples () =
+  let dir =
+    match
+      List.find_opt Sys.file_exists
+        [ "../examples/data"; "examples/data"; "_build/default/examples/data" ]
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "examples/data not found"
+  in
+  let files =
+    "backbone.rel"
+    :: List.map (Filename.concat "bad")
+         (List.filter
+            (fun f -> Filename.check_suffix f ".rel")
+            (Array.to_list (Sys.readdir (Filename.concat dir "bad"))))
+  in
+  List.iter
+    (fun f ->
+      let t = Topo_io.load_relationships (Filename.concat dir f) in
+      Alcotest.(check bool) f true (slots_and_edges_consistent t))
+    files;
+  Alcotest.(check bool) "diamond" true (slots_and_edges_consistent (diamond ()))
+
 let test_generator_tier1_clique () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:200 ()) in
   let t1s = Topology.tier1s t in
@@ -346,6 +413,9 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_acyclic_detects_cycle;
           Alcotest.test_case "diamond valid" `Quick test_diamond_valid;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
+          prop_slots_and_edges;
+          Alcotest.test_case "slots and edge ids (examples/data)" `Quick
+            test_slots_and_edges_examples;
         ] );
       ( "generator",
         [
