@@ -9,6 +9,9 @@ type 'msg t = {
   procs : int;
   mutable chans : 'msg Channel.t array;  (* by directed edge id; set once *)
   mutable mrais : Mrai.t array;  (* by edge id * procs + process; set once *)
+  link_gen : int array;
+      (* by the edge id of a link's lower-to-higher direction: bumped at
+         every failure and recovery of the link *)
   mutable last_change : float;
   mutable fwd_epoch : int;
   mutable walked_epoch : int;
@@ -62,6 +65,7 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       procs;
       chans = [||];
       mrais = [||];
+      link_gen = Array.make edges 0;
       last_change = 0.;
       fwd_epoch = 0;
       walked_epoch = -1;
@@ -200,8 +204,16 @@ let slot core ~op u v =
     invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op);
   i
 
+(* Bump the link's generation and return the new one. *)
+let next_gen core ~op u v =
+  let lo = min u v and hi = max u v in
+  let l = Topology.first_edge core.topo lo + slot core ~op lo hi in
+  core.link_gen.(l) <- core.link_gen.(l) + 1;
+  l
+
 let fail_link core u v ~react =
-  ignore (slot core ~op:"fail_link" u v : int);
+  let l = next_gen core ~op:"fail_link" u v in
+  let gen = core.link_gen.(l) in
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
@@ -210,11 +222,15 @@ let fail_link core u v ~react =
   if core.detect_delay = 0. then react ()
   else
     Sim.schedule core.sim ~delay:core.detect_delay (fun _ ->
-        touch_fwd core;
-        react ())
+        (* a recovery, or a later failure, of the link since then owns the
+           session: this failure was never detected *)
+        if core.link_gen.(l) = gen then begin
+          touch_fwd core;
+          react ()
+        end)
 
 let recover_link core u v ~react =
-  ignore (slot core ~op:"recover_link" u v : int);
+  ignore (next_gen core ~op:"recover_link" u v : int);
   Link_state.recover_link core.links u v;
   touch_fwd core;
   trace_link core u v Trace.Session_up;

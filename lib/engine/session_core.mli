@@ -105,7 +105,10 @@ val fail_link :
   'msg t -> Topology.vertex -> Topology.vertex -> react:(unit -> unit) -> unit
 (** Mark the link down (data plane breaks now) and run [react] — the
     engine's session-reset logic — immediately, or after the core's
-    [detect_delay] if positive.
+    [detect_delay] if positive. A delayed [react] is dropped when the link
+    recovers, or fails again, before it runs: a failure detected only
+    after its link came back was never detected, and the recovery's own
+    session reset has already run.
     @raise Invalid_argument if the vertices are not adjacent. *)
 
 val recover_link :

@@ -225,6 +225,101 @@ let test_detect_delay_uniform () =
       check_counters (engine_name ^ " (delayed detection)") inst)
     Runner.engines
 
+(* --- a failure detected after its link recovered ------------------------ *)
+
+(* Every engine of [Runner.engines], driven through its net so the
+   converged tables can be read. [table] is the BGP fixed point the net
+   must reach ([None] for STAMP, whose red and blue tables are not). *)
+type flap_net = {
+  start : unit -> unit;
+  fail_link : Topology.vertex -> Topology.vertex -> unit;
+  recover_link : Topology.vertex -> Topology.vertex -> unit;
+  table : (unit -> Static_route.table) option;
+  probe : unit -> Fwd_walk.status array;
+}
+
+let flap_nets =
+  let bgp ?deployed sim topo ~dest ~detect_delay =
+    let n = Bgp_net.create sim topo ~dest ?deployed ~detect_delay () in
+    {
+      start = (fun () -> Bgp_net.start n);
+      fail_link = Bgp_net.fail_link n;
+      recover_link = Bgp_net.recover_link n;
+      table = Some (fun () -> Bgp_net.to_table n);
+      probe = (fun () -> Bgp_net.walk_all n);
+    }
+  and rbgp ~rci sim topo ~dest ~detect_delay =
+    let n = Rbgp_net.create sim topo ~dest ~rci ~detect_delay () in
+    {
+      start = (fun () -> Rbgp_net.start n);
+      fail_link = Rbgp_net.fail_link n;
+      recover_link = Rbgp_net.recover_link n;
+      table = Some (fun () -> Rbgp_net.to_table n);
+      probe = (fun () -> Rbgp_net.walk_all n);
+    }
+  and stamp sim topo ~dest ~detect_delay =
+    let coloring =
+      Coloring.create Coloring.Random_choice ~seed:7 topo ~dest
+    in
+    let n = Stamp_net.create sim topo ~dest ~coloring ~detect_delay () in
+    {
+      start = (fun () -> Stamp_net.start n);
+      fail_link = Stamp_net.fail_link n;
+      recover_link = Stamp_net.recover_link n;
+      table = None;
+      probe = (fun () -> Stamp_net.walk_all n);
+    }
+  in
+  [
+    ("BGP", bgp ?deployed:None);
+    ("R-BGP without RCI", rbgp ~rci:false);
+    ("R-BGP", rbgp ~rci:true);
+    ("STAMP", stamp);
+    ("STAMP-BGP hybrid (full deployment)", bgp ~deployed:(fun _ -> true));
+  ]
+
+(* With a 1.5 s detection delay, a link fails and recovers 0.5 s later,
+   before the failure is detected. The recovery resets the session and
+   re-advertises; the failure's delayed reaction must then do nothing, or
+   it forgets both sides' routes on a live link and nothing re-announces
+   them. Every net must end at its stable state: the BGP fixed point, and
+   delivery from every AS. *)
+let test_recovery_inside_detection_window () =
+  Alcotest.(check (list string))
+    "one net per registered engine" (List.map fst Runner.engines)
+    (List.map fst flap_nets);
+  List.iter
+    (fun (name, make) ->
+      for seed = 1 to 20 do
+        let topo = Topo_gen.generate (Topo_gen.default_params ~seed ~n:80 ()) in
+        let spec = Scenario.single_link (Random.State.make [| seed |]) topo in
+        let u, v =
+          match spec.events with
+          | [ Scenario.Fail_link (u, v) ] -> (u, v)
+          | _ -> Alcotest.fail "single_link: expected one link failure"
+        in
+        let dest = spec.dest in
+        let sim = Sim.create ~seed () in
+        let net = make sim topo ~dest ~detect_delay:1.5 in
+        net.start ();
+        check_quiesced name sim;
+        net.fail_link u v;
+        Sim.schedule sim ~delay:0.5 (fun _ -> net.recover_link u v);
+        check_quiesced name sim;
+        let label = Printf.sprintf "%s, seed %d" name seed in
+        (match net.table with
+        | Some table ->
+          Alcotest.(check bool)
+            (label ^ ": BGP fixed point") true
+            (table () = Static_route.compute topo ~dest)
+        | None -> ());
+        Alcotest.(check bool)
+          (label ^ ": every AS delivers") true
+          (Array.for_all (Fwd_walk.equal_status Fwd_walk.Delivered)
+             (net.probe ()))
+      done)
+    flap_nets
+
 (* --- characterisation pins --------------------------------------------- *)
 
 (* Stable stems, not display names; [List.combine] fails loudly if the
@@ -389,6 +484,8 @@ let () =
             test_lifecycle_matrix;
           Alcotest.test_case "detect_delay accepted uniformly" `Quick
             test_detect_delay_uniform;
+          Alcotest.test_case "recovery inside the detection window" `Quick
+            test_recovery_inside_detection_window;
         ] );
       ( "engines",
         [ Alcotest.test_case "contents and bar order" `Quick test_engine_list ]
