@@ -75,21 +75,16 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
           invalid_arg (who ^ ": Session_core receive handler not installed"));
     }
   in
-  (* One ordered channel per directed edge, with the receiver-side slot
-     found once here. [Array.init] fills in increasing edge id, which is
-     vertices × neighbors order. *)
-  let src = ref 0 in
+  (* One ordered channel per directed edge (vertices × neighbors is
+     increasing edge id), with the receiver-side slot found once here. *)
   core.chans <-
-    Array.init edges (fun e ->
-        while Topology.first_edge topo (!src + 1) <= e do
-          incr src
-        done;
-        let u = !src in
-        let i = e - Topology.first_edge topo u in
-        let v = fst (Topology.neighbors topo u).(i) in
-        let slot = Topology.slot topo v u in
-        Channel.create sim ~delay_lo ~delay_hi
-          ~deliver:(deliver core u v ~slot));
+    Array.concat
+      (List.init (Topology.num_vertices topo) (fun u ->
+           Array.map
+             (fun (v, _) ->
+               Channel.create sim ~delay_lo ~delay_hi
+                 ~deliver:(deliver core u v ~slot:(Topology.slot topo v u)))
+             (Topology.neighbors topo u)));
   (* [procs] MRAI timers per directed edge, by increasing edge id then
      process. The order is part of the reproducibility contract: Mrai.create
      draws one RNG float per timer (channels draw none), so any reordering
