@@ -31,16 +31,14 @@ let clear p =
   p.best <- None
 
 let select p =
-  let acc = ref None in
-  Array.iter
-    (function
-      | None -> ()
-      | Some e as entry -> (
-        match !acc with
-        | Some cur when not (Decision.better (p.route e) (p.route cur)) -> ()
-        | Some _ | None -> acc := entry))
-    p.adj_rib_in;
-  !acc
+  Array.fold_left
+    (fun acc entry ->
+      match (entry, acc) with
+      | None, _ -> acc
+      | Some e, Some cur when not (Decision.better (p.route e) (p.route cur)) ->
+        acc
+      | Some _, _ -> entry)
+    None p.adj_rib_in
 
 let next_hop p =
   match p.best with None -> None | Some e -> Route.learned_from (p.route e)

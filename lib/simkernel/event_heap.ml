@@ -62,12 +62,7 @@ let push t ~time payload =
      overtakes an equal time, so only a strictly later parent moves down *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    Float.Array.unsafe_get t.times parent > time
-  do
+  while !i > 0 && Float.Array.unsafe_get t.times ((!i - 1) / 2) > time do
     let parent = (!i - 1) / 2 in
     move t ~src:parent ~dst:!i;
     i := parent
@@ -103,8 +98,11 @@ let take t =
       else begin
         let r = l + 1 in
         let c =
-          if r < last && before t r ~time:(Float.Array.unsafe_get t.times l)
-                           ~seq:(Array.unsafe_get t.seqs l)
+          if
+            r < last
+            && before t r
+                 ~time:(Float.Array.unsafe_get t.times l)
+                 ~seq:(Array.unsafe_get t.seqs l)
           then r
           else l
         in

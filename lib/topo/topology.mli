@@ -54,9 +54,10 @@ val vertex_of_asn : t -> int -> vertex option
 (** {1 Adjacency} *)
 
 val neighbors : t -> vertex -> (vertex * Relationship.t) array
-(** All neighbours of a vertex together with their relationship {e as seen
-    from that vertex}: [(v, Provider)] means [v] is a provider of the
-    queried vertex. The returned array is shared; do not mutate. *)
+(** All neighbours of a vertex, in increasing vertex order, together with
+    their relationship {e as seen from that vertex}: [(v, Provider)] means
+    [v] is a provider of the queried vertex. The returned array is shared;
+    do not mutate. *)
 
 val providers : t -> vertex -> vertex array
 (** Providers of a vertex (shared array; do not mutate). *)
