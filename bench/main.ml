@@ -376,8 +376,7 @@ let motivation pool cfg =
 (* --- tracing: overhead target and --trace recording -------------------- *)
 
 let trace_overhead _pool cfg =
-  section
-    "Tracing overhead: untraced vs null sink vs memory sink (sequential)";
+  section "Tracing cost: null sink vs memory sink (sequential)";
   let r, wall =
     timed (fun () ->
         let r =
@@ -385,30 +384,22 @@ let trace_overhead _pool cfg =
             ~instances:(max 4 (cfg.instances / 3))
             ~seed:cfg.seed ~mrai_base:cfg.mrai (topology cfg)
         in
-        let pct a b = if b <= 0. then 0. else 100. *. (a -. b) /. b in
         Format.printf
-          "  baseline %.3fs, null sink %.3fs (%+.1f%%), memory sink %.3fs \
-           (%+.1f%%), %d events recorded@."
-          r.Experiment.baseline_s r.Experiment.null_s
-          (pct r.Experiment.null_s r.Experiment.baseline_s)
-          r.Experiment.memory_s
-          (pct r.Experiment.memory_s r.Experiment.baseline_s)
-          r.Experiment.traced_events;
+          "  null sink %.3fs, memory sink %.3fs, %d events recorded@."
+          r.Experiment.null_s r.Experiment.memory_s r.Experiment.traced_events;
         if not r.Experiment.identical then begin
           prerr_endline
-            "trace: FAIL — traced results differ from the untraced baseline";
+            "trace: FAIL — memory-sink results differ from the null-sink run";
           exit 1
         end;
-        Format.printf "  results bit-identical across all three sinks@.";
+        Format.printf "  results bit-identical across both sinks@.";
         r)
   in
   record_target "trace" wall
     ~counters:
       (Printf.sprintf
-         "{\"baseline_s\": %.3f, \"null_s\": %.3f, \"memory_s\": %.3f, \
-          \"traced_events\": %d}"
-         r.Experiment.baseline_s r.Experiment.null_s r.Experiment.memory_s
-         r.Experiment.traced_events)
+         "{\"null_s\": %.3f, \"memory_s\": %.3f, \"traced_events\": %d}"
+         r.Experiment.null_s r.Experiment.memory_s r.Experiment.traced_events)
 
 (* [--trace FILE]: stream the JSONL trace of one representative run (plain
    BGP on the first single-link instance of the configured seed) so any
@@ -649,11 +640,9 @@ let micro cfg =
     let net = Bgp_net.create sim t ~dest () in
     Bgp_net.start net;
     Sim.run sim;
-    (* invalidate the probe cache first, so every run walks *)
+    (* a walk from scratch every run, not the incremental probe *)
     Test.make ~name:"forwarding_walk_all_ases"
-      (Staged.stage (fun () ->
-           Bgp_net.touch_fwd net;
-           ignore (Bgp_net.walk_all net)))
+      (Staged.stage (fun () -> ignore (Bgp_net.fresh_walk net)))
   in
   let benchmark test =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -272,7 +272,6 @@ let ablation_topology ?pool ?(instances = 8) ?(seed = 1) ~n () =
 (* --- tracing overhead --------------------------------------------------- *)
 
 type trace_overhead_result = {
-  baseline_s : float;
   null_s : float;
   memory_s : float;
   traced_events : int;
@@ -291,26 +290,22 @@ let trace_overhead ?(instances = 10) ?(seed = 1) ?(mrai_base = 30.)
       sweep ~seed ~specs Runner.all_protocols (fun protocol ~seed spec ->
           let trace = sink () in
           let r =
-            Runner.run ~seed ~mrai_base ~interval ~validate:`Off ?trace
+            Runner.run ~seed ~mrai_base ~interval ~validate:`Off ~trace
               protocol topo spec
           in
-          Option.iter (fun t -> traced := !traced + Trace.recorded t) trace;
+          traced := !traced + Trace.recorded trace;
           r)
       |> List.concat_map snd
     in
     (Sys.time () -. t0, results)
   in
   (* the whole record minus the timeline (absent by construction on the
-     baseline/null passes, present on the memory pass) *)
+     null pass, present on the memory pass) *)
   let key (r : Runner.result) = { r with timeline = None } in
-  let baseline_s, base = pass (fun () -> None) in
-  let null_s, nulls = pass (fun () -> Some Trace.null) in
-  let memory_s, mems = pass (fun () -> Some (Trace.memory ())) in
-  let identical =
-    List.for_all2 (fun a b -> key a = key b) base nulls
-    && List.for_all2 (fun a b -> key a = key b) base mems
-  in
-  { baseline_s; null_s; memory_s; traced_events = !traced; identical }
+  let null_s, nulls = pass (fun () -> Trace.null) in
+  let memory_s, mems = pass (fun () -> Trace.memory ()) in
+  let identical = List.for_all2 (fun a b -> key a = key b) nulls mems in
+  { null_s; memory_s; traced_events = !traced; identical }
 
 let preflight ?pool ?(instances = 20) ?(seed = 1) ?mrai_base ?detect_delay
     ~scenario topo =

@@ -223,13 +223,12 @@ val motivation_loss_composition :
 (** {1 Tracing overhead} *)
 
 type trace_overhead_result = {
-  baseline_s : float;  (** CPU seconds with no [?trace] argument at all *)
-  null_s : float;  (** CPU seconds with an explicit {!Trace.null} sink *)
+  null_s : float;  (** CPU seconds with the {!Trace.null} sink *)
   memory_s : float;  (** CPU seconds recording into a {!Trace.memory} sink *)
   traced_events : int;  (** events recorded across all memory-sink runs *)
   identical : bool;
       (** every run's result record (timeline aside) was bit-identical
-          across the three passes — the zero-cost-when-off contract *)
+          across the two passes — the zero-cost-when-off contract *)
 }
 
 val trace_overhead :
@@ -239,12 +238,13 @@ val trace_overhead :
   ?interval:float ->
   Topology.t ->
   trace_overhead_result
-(** Measure what tracing costs: run every protocol on [instances] (default
-    10) single-link-failure scenarios three times — untraced, with the null
-    sink, and recording into a memory sink — and time each pass. The target
-    is null-sink overhead within noise of the baseline (≤ 5 %); the memory
-    pass prices actual recording. Deliberately sequential (no [?pool]):
-    sinks are single-domain state and the metric is per-core cost. *)
+(** Run every protocol on [instances] (default 10) single-link-failure
+    scenarios twice — with the null sink, and recording into a memory
+    sink — and time each pass. The memory pass prices actual recording.
+    There is no untraced pass: a run without [?trace] uses the null sink
+    ({!Runner.run_engine}), so it would time the null pass again.
+    Deliberately sequential (no [?pool]): sinks are single-domain state
+    and the metric is per-core cost. *)
 
 (** {1 Pre-flight validation}
 

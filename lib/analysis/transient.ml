@@ -75,9 +75,9 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
       | Some _ | None -> ());
       final := statuses
     end
-    (* A probe that returns the previous array itself (an engine's cached
-       walk: probe results are never mutated) changed nothing, and its
-       troubled ASes are already marked. *)
+    (* A probe that returns the previous array itself (an engine's probe
+       when no status moved: probe results are never mutated) changed
+       nothing, and its troubled ASes are already marked. *)
     else if statuses != !prev then begin
       mark_troubled statuses;
       (* change detection: with an observer, report each AS whose status

@@ -69,8 +69,8 @@ val run_guarded :
 
     The monitor keeps the previous probe's array, so [probe] must never
     mutate an array it returned; when it returns that same array again
-    (an engine's cached walk, {!Engine.probe}) the checkpoint is taken as
-    unchanged without a per-AS comparison.
+    ({!Engine.probe} does exactly when no status moved) the checkpoint is
+    taken as unchanged without a per-AS comparison.
 
     [on_status] observes the per-AS statuses the aggregate outcome is
     computed from, in a protocol precise enough to reconstruct it exactly:

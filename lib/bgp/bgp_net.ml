@@ -64,7 +64,7 @@ let recompute_backup t v =
     in
     if backup <> t.backup.(v) then begin
       t.backup.(v) <- backup;
-      Session_core.touch_fwd t.core
+      Session_core.mark_fwd t.core v
     end
   end
 
@@ -90,6 +90,37 @@ let receive t v ~slot msg =
     | Withdraw -> Process.withdraw p ~slot);
     recompute t v
   end
+
+(* --- forwarding ----------------------------------------------------- *)
+
+(* Packet states: 0 = primary, 1 = re-coloured onto a backup; with no AS
+   upgraded only state 0 exists, and a step returns the next hop itself.
+   A step reads [v]'s best route and backup, and the links and node at
+   [v]. *)
+let step t =
+  let links = Session_core.links t.core in
+  let k = t.num_states in
+  fun v s ->
+    if not (Link_state.node_up links v) then Fwd_walk.drop
+    else begin
+      let nh = Process.next_hop_up t.procs.(v) links in
+      (* a packet follows best routes, keeping its state. A re-coloured
+         one does too: the backup was an advertised route of the
+         deflection neighbour, so its hops are exactly the downstream best
+         chain. Following other ASes' backups instead would compose
+         unrelated local picks (two neighbouring backups can point at each
+         other). One deflection per packet, as in Section 5. *)
+      if nh >= 0 then (k * nh) + s
+      else if s = 0 && t.upgraded.(v) then
+        (* primary missing or physically broken: an upgraded AS
+           re-colours the packet onto its blue table *)
+        match t.backup.(v) with
+        | Some b ->
+          let alt = Process.hop_up links v b in
+          if alt >= 0 then (k * alt) + 1 else Fwd_walk.drop
+        | None -> Fwd_walk.drop
+      else Fwd_walk.drop
+    end
 
 (* --- construction -------------------------------------------------- *)
 
@@ -121,6 +152,8 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
   in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t dst ~slot msg);
+  Session_core.on_forward core ~dest ~num_states:t.num_states
+    ~start:(fun _ -> 0) ~step:(step t);
   t
 
 let start t = recompute t t.dest
@@ -189,41 +222,8 @@ let has_disjoint_backup t v =
 
 let to_table t = Process.table t.procs
 
-(* Packet states: 0 = primary, 1 = re-coloured onto a backup; with no AS
-   upgraded only state 0 exists, and a step returns the next hop itself. *)
-let walk_fresh t =
-  let links = Session_core.links t.core in
-  let k = t.num_states in
-  let step v s =
-    if not (Link_state.node_up links v) then Fwd_walk.drop
-    else begin
-      let nh = Process.next_hop_up t.procs.(v) links in
-      (* a packet follows best routes, keeping its state. A re-coloured
-         one does too: the backup was an advertised route of the
-         deflection neighbour, so its hops are exactly the downstream best
-         chain. Following other ASes' backups instead would compose
-         unrelated local picks (two neighbouring backups can point at each
-         other). One deflection per packet, as in Section 5. *)
-      if nh >= 0 then (k * nh) + s
-      else if s = 0 && t.upgraded.(v) then
-        (* primary missing or physically broken: an upgraded AS
-           re-colours the packet onto its blue table *)
-        match t.backup.(v) with
-        | Some b ->
-          let alt = Process.hop_up links v b in
-          if alt >= 0 then (k * alt) + 1 else Fwd_walk.drop
-        | None -> Fwd_walk.drop
-      else Fwd_walk.drop
-    end
-  in
-  Fwd_walk.walk_all
-    ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~num_states:k
-    ~start:(fun _ -> 0)
-    ~step
-
-let walk_all t = Session_core.cached_walk t.core walk_fresh t
-let touch_fwd t = Session_core.touch_fwd t.core
+let walk_all t = Session_core.probe t.core
+let fresh_walk t = Session_core.fresh_walk t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

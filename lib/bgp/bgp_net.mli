@@ -129,14 +129,13 @@ val walk_all : t -> Fwd_walk.status array
     packet follows best routes again (the backup is an advertised route of
     the deflection neighbour, so its hops are the downstream best chain;
     following other ASes' local backups would compose unrelated picks and
-    can loop). One re-colouring per packet, as in Section 5. The result is
-    cached until the next forwarding change ({!Session_core.cached_walk}):
-    it may be the very array an earlier call returned, and must not be
-    mutated. *)
+    can loop). One re-colouring per packet, as in Section 5. Incremental
+    ({!Session_core.probe}): the result is the very array an earlier call
+    returned when no status moved since, and must not be mutated. *)
 
-val touch_fwd : t -> unit
-(** Invalidate the cached walk, so the next {!walk_all} walks afresh (see
-    {!Session_core.touch_fwd}). *)
+val fresh_walk : t -> Fwd_walk.status array
+(** {!walk_all} from scratch, leaving the probe state untouched
+    ({!Session_core.fresh_walk}). *)
 
 val message_count : t -> int
 (** Total update messages (announcements + withdrawals) sent so far. *)

@@ -174,7 +174,7 @@ let recompute t r color ~loss =
   let best' =
     if r.v = t.dest then Some (origin_entry color) else Process.select p
   in
-  (* the decision's forwarding-epoch bump also covers the [unstable] flip
+  (* the decision's dirty mark of [r.v] also covers the [unstable] flip
      below *)
   if Process.decide ~prefix:(cause_prefix color) p t.core best' then begin
     let was_unstable = r.unstable.(c) in
@@ -208,6 +208,54 @@ let receive t r ~slot { color; body } =
     advertise_all t r
   end
 
+(* --- forwarding ------------------------------------------------------- *)
+
+(* Colour-aware forwarding (Section 5): forward on the packet's colour;
+   when that process's route is missing, broken or unstable, re-colour the
+   packet — at most once — and use the other process. Packet state is
+   [2 * colour + switched], with colours as {!Color.to_int} (0 or 1). A
+   step and the start state read [v]'s best routes and [unstable] flags,
+   which change together in a decision, and the links and node at [v]. *)
+let forwarding t =
+  let links = Session_core.links t.core in
+  (* next hop of process [c]'s best route over a live link, or -1 *)
+  let usable r c = Process.next_hop_up r.procs.(c) links in
+  let forward nh c ~switched = (nh * 4) + (2 * c) + switched in
+  let step v s =
+    if not (Link_state.node_up links v) then Fwd_walk.drop
+    else begin
+      let r = t.routers.(v) in
+      let c = s / 2 in
+      let other = 1 - c in
+      let nh = usable r c in
+      if s land 1 = 1 then
+        (* the packet was already re-coloured once: stick to its colour *)
+        if nh >= 0 then forward nh c ~switched:1 else Fwd_walk.drop
+      else if nh >= 0 && not r.unstable.(c) then
+        forward nh c ~switched:0
+      else begin
+        let nh' = usable r other in
+        if nh' >= 0 && not r.unstable.(other) then
+          forward nh' other ~switched:1
+        (* both processes disturbed: any process that still has a route
+           can be used (Section 5.2) *)
+        else if nh >= 0 then forward nh c ~switched:0
+        else if nh' >= 0 then forward nh' other ~switched:1
+        else Fwd_walk.drop
+      end
+    end
+  in
+  (* the source's {!in_use} colour, Blue when it has no route *)
+  let start v =
+    let procs = t.routers.(v).procs in
+    match (procs.(Color.to_int Red).best, procs.(Color.to_int Blue).best) with
+    | Some _, None -> 2 * Color.to_int Red
+    | Some red, Some blue when Decision.better red.route blue.route ->
+      2 * Color.to_int Red
+    | Some _, Some _ | None, _ -> 2 * Color.to_int Blue
+  in
+  Session_core.on_forward t.core ~dest:t.dest ~num_states:4 ~start ~step
+
 (* --- construction ----------------------------------------------------- *)
 
 let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
@@ -236,6 +284,7 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t t.routers.(dst) ~slot msg);
+  forwarding t;
   t
 
 let start t =
@@ -340,54 +389,8 @@ let in_use t v =
   | Some r, Some b ->
     if Decision.better r b then Some Color.Red else Some Color.Blue
 
-(* Colour-aware forwarding (Section 5): forward on the packet's colour;
-   when that process's route is missing, broken or unstable, re-colour the
-   packet — at most once — and use the other process. Packet state is
-   [2 * colour + switched], with colours as {!Color.to_int} (0 or 1). *)
-let walk_fresh t =
-  let links = Session_core.links t.core in
-  (* next hop of process [c]'s best route over a live link, or -1 *)
-  let usable r c = Process.next_hop_up r.procs.(c) links in
-  let forward nh c ~switched = (nh * 4) + (2 * c) + switched in
-  let step v s =
-    if not (Link_state.node_up links v) then Fwd_walk.drop
-    else begin
-      let r = t.routers.(v) in
-      let c = s / 2 in
-      let other = 1 - c in
-      let nh = usable r c in
-      if s land 1 = 1 then
-        (* the packet was already re-coloured once: stick to its colour *)
-        if nh >= 0 then forward nh c ~switched:1 else Fwd_walk.drop
-      else if nh >= 0 && not r.unstable.(c) then
-        forward nh c ~switched:0
-      else begin
-        let nh' = usable r other in
-        if nh' >= 0 && not r.unstable.(other) then
-          forward nh' other ~switched:1
-        (* both processes disturbed: any process that still has a route
-           can be used (Section 5.2) *)
-        else if nh >= 0 then forward nh c ~switched:0
-        else if nh' >= 0 then forward nh' other ~switched:1
-        else Fwd_walk.drop
-      end
-    end
-  in
-  (* the source's {!in_use} colour, Blue when it has no route *)
-  let start v =
-    let procs = t.routers.(v).procs in
-    match (procs.(Color.to_int Red).best, procs.(Color.to_int Blue).best) with
-    | Some _, None -> 2 * Color.to_int Red
-    | Some red, Some blue when Decision.better red.route blue.route ->
-      2 * Color.to_int Red
-    | Some _, Some _ | None, _ -> 2 * Color.to_int Blue
-  in
-  Fwd_walk.walk_all
-    ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~num_states:4 ~start ~step
-
-let walk_all t = Session_core.cached_walk t.core walk_fresh t
-let touch_fwd t = Session_core.touch_fwd t.core
+let walk_all t = Session_core.probe t.core
+let fresh_walk t = Session_core.fresh_walk t.core
 
 let announced t color v =
   let nbrs = Topology.neighbors t.topo v

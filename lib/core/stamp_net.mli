@@ -111,12 +111,11 @@ val walk_all : t -> Fwd_walk.status array
 (** Colour-aware forwarding status of every AS: packets start in the
     source's {!in_use} colour, follow same-colour routes, and are
     re-coloured at most once when the current colour's route is missing,
-    broken or unstable. Cached until the next forwarding change, like
-    {!Bgp_net.walk_all}: the array may be shared with earlier calls and
-    must not be mutated. *)
+    broken or unstable. Incremental, like {!Bgp_net.walk_all}: the array
+    may be shared with earlier calls and must not be mutated. *)
 
-val touch_fwd : t -> unit
-(** Invalidate the cached walk (see {!Session_core.touch_fwd}). *)
+val fresh_walk : t -> Fwd_walk.status array
+(** {!walk_all} from scratch, leaving the probe state untouched. *)
 
 val announced : t -> Color.t -> Topology.vertex -> (Topology.vertex * bool) list
 (** The neighbours a process currently advertises a route to, with the

@@ -28,7 +28,7 @@ module type S = sig
   val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
   val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
   val probe : t -> Fwd_walk.status array
-  val touch_fwd : t -> unit
+  val fresh_walk : t -> Fwd_walk.status array
   val message_count : t -> int
   val last_change : t -> float
   val counters : t -> Counters.t
@@ -48,7 +48,7 @@ let recover_node (Instance ((module E), t)) v = E.recover_node t v
 let deny_export (Instance ((module E), t)) u v = E.deny_export t u v
 let allow_export (Instance ((module E), t)) u v = E.allow_export t u v
 let probe (Instance ((module E), t)) = E.probe t
-let touch_fwd (Instance ((module E), t)) = E.touch_fwd t
+let fresh_walk (Instance ((module E), t)) = E.fresh_walk t
 let message_count (Instance ((module E), t)) = E.message_count t
 let last_change (Instance ((module E), t)) = E.last_change t
 let counters (Instance ((module E), t)) = E.counters t

@@ -64,13 +64,15 @@ module type S = sig
   val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
 
   val probe : t -> Fwd_walk.status array
-  (** Forwarding-plane status of every AS right now. Cached while the
-      engine's forwarding epoch stands ({!Session_core.cached_walk}): the
-      result may be the very array an earlier probe returned, and must
-      not be mutated. *)
+  (** Forwarding-plane status of every AS right now, re-walking only the
+      upstream cone of the forwarding cells that changed since the last
+      probe ({!Session_core.probe}). The result is the very array the
+      previous probe returned exactly when no status moved, and must not
+      be mutated. *)
 
-  val touch_fwd : t -> unit
-  (** Invalidate the cached probe, so the next {!probe} walks afresh. *)
+  val fresh_walk : t -> Fwd_walk.status array
+  (** The same statuses walked from scratch, without touching the probe
+      state: the reference {!probe} is tested against. *)
 
   val message_count : t -> int
   val last_change : t -> float
@@ -95,7 +97,7 @@ val recover_node : instance -> Topology.vertex -> unit
 val deny_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val allow_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val probe : instance -> Fwd_walk.status array
-val touch_fwd : instance -> unit
+val fresh_walk : instance -> Fwd_walk.status array
 val message_count : instance -> int
 val last_change : instance -> float
 val counters : instance -> Counters.t

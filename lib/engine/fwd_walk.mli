@@ -1,4 +1,4 @@
-(** Generic memoized forwarding-plane walker.
+(** Memoized forwarding-plane walker, from scratch or incremental.
 
     Given each AS's current forwarding behaviour — a step function mapping
     (vertex, packet state) to the next hop — compute, for {e every} source
@@ -7,11 +7,16 @@
     colour and whether it was already re-coloured for STAMP, the deflection
     bit for the hybrid); plain BGP uses a single state.
 
-    States and steps are int-coded so a walk allocates nothing but its
-    byte memo and the result array: O(vertices × states) step calls and
-    one byte of memo per (vertex, state) pair. Engines cache the result
-    between forwarding changes ({!Session_core.cached_walk}), so a probe
-    that follows no such change costs nothing. *)
+    States and steps are int-coded: O(vertices × states) step calls and
+    one byte of memo per (vertex, state) pair, a {e cell}. Each stepped
+    cell has exactly one successor, so a walk is a functional graph.
+
+    An incremental walker ({!t}) keeps that graph between walks: every
+    stepped cell's code and the reverse edges as array-backed lists. A
+    caller marks the vertices whose forwarding inputs it wrote
+    ({!mark}); {!refresh} then re-steps only the marked vertices' cells
+    and re-resolves only the upstream cone of the cells whose code
+    changed. {!Session_core.probe} is the engines' use of it. *)
 
 type status =
   | Delivered  (** the packet reaches the destination *)
@@ -44,3 +49,44 @@ val walk_all :
     @raise Invalid_argument on [num_states < 1], a start state out of
     range, or a step code that is neither {!drop}, {!deliver} nor a
     (vertex, state) code. *)
+
+(** {1 Incremental walks} *)
+
+type t
+(** An incremental walker over one step table. *)
+
+val create :
+  n:int ->
+  dest:Topology.vertex ->
+  num_states:int ->
+  start:(Topology.vertex -> int) ->
+  step:(Topology.vertex -> int -> int) ->
+  t
+(** A walker over [start] and [step], encoded as for {!walk_all}. Nothing
+    is walked until the first {!refresh}.
+    @raise Invalid_argument on [num_states < 1]. *)
+
+val mark : t -> Topology.vertex -> unit
+(** [mark t v]: [step v] or [start v] may have changed since the last
+    {!refresh}. Once more than a fixed fraction of the vertices are
+    marked, the next refresh walks everything again. *)
+
+val mark_all : t -> unit
+(** Any step may have changed: the next {!refresh} walks everything. *)
+
+val refresh : t -> status array
+(** The status of every vertex under the current step table, provided
+    every vertex whose step or start state changed since the last refresh
+    was marked. The first refresh, and the first after {!mark_all} or too
+    many marks, walks from scratch; any other re-steps the marked
+    vertices' cells and re-walks only the cells upstream of those whose
+    code changed.
+
+    The result is the very array the previous refresh returned exactly
+    when no status changed, and a new array otherwise. No returned array
+    is ever written again, so callers may keep it.
+    @raise Invalid_argument as {!walk_all}. *)
+
+val fresh : t -> status array
+(** [walk_all] over [t]'s step table, leaving [t] untouched: the reference
+    {!refresh} is checked against. *)

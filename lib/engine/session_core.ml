@@ -13,9 +13,7 @@ type 'msg t = {
       (* by the edge id of a link's lower-to-higher direction: bumped at
          every failure and recovery of the link *)
   mutable last_change : float;
-  mutable fwd_epoch : int;
-  mutable walked_epoch : int;
-  mutable walked : Fwd_walk.status array;
+  mutable fwd : Fwd_walk.t option;  (* set once by [on_forward] *)
   mutable handler :
     src:Topology.vertex -> dst:Topology.vertex -> slot:int -> 'msg -> unit;
 }
@@ -58,7 +56,7 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       sim;
       topo;
       who;
-      links = Link_state.create ~n:(Topology.num_vertices topo);
+      links = Link_state.create topo;
       counters = Counters.make ();
       detect_delay;
       trace;
@@ -67,9 +65,7 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       mrais = [||];
       link_gen = Array.make edges 0;
       last_change = 0.;
-      fwd_epoch = 0;
-      walked_epoch = -1;
-      walked = [||];
+      fwd = None;
       handler =
         (fun ~src:_ ~dst:_ ~slot:_ _ ->
           invalid_arg (who ^ ": Session_core receive handler not installed"));
@@ -108,19 +104,32 @@ let trace core = core.trace
 let trace_enabled core = Trace.enabled core.trace
 let emit_node core v kind = trace_node core v kind
 
-(* The forwarding epoch; the interface states which writes must bump it. *)
-let touch_fwd core = core.fwd_epoch <- core.fwd_epoch + 1
+(* The dirty set; the interface states which writes must mark which
+   vertex. Marks before [on_forward] are moot: the first probe walks
+   everything. *)
+let on_forward core ~dest ~num_states ~start ~step =
+  core.fwd <-
+    Some
+      (Fwd_walk.create ~n:(Topology.num_vertices core.topo) ~dest ~num_states
+         ~start ~step)
 
-let cached_walk core walk x =
-  if core.walked_epoch <> core.fwd_epoch then begin
-    core.walked <- walk x;
-    core.walked_epoch <- core.fwd_epoch
-  end;
-  core.walked
+let mark_fwd core v =
+  match core.fwd with Some w -> Fwd_walk.mark w v | None -> ()
+
+let mark_all_fwd core =
+  match core.fwd with Some w -> Fwd_walk.mark_all w | None -> ()
+
+let walker core =
+  match core.fwd with
+  | Some w -> w
+  | None -> invalid_arg (core.who ^ ": Session_core forwarding not installed")
+
+let probe core = Fwd_walk.refresh (walker core)
+let fresh_walk core = Fwd_walk.fresh (walker core)
 
 let note_decision core ~node ~old_next ~new_next ~cause =
   core.last_change <- Sim.now core.sim;
-  touch_fwd core;
+  mark_fwd core node;
   if Trace.enabled core.trace then
     Trace.emit core.trace ~vtime:(Sim.now core.sim) ~engine:core.who
       ~loc:(Trace.Node (Topology.asn core.topo node))
@@ -212,31 +221,29 @@ let fail_link core u v ~react =
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
-  touch_fwd core;
+  mark_all_fwd core;
   trace_link core u v Trace.Session_reset;
   if core.detect_delay = 0. then react ()
   else
     Sim.schedule core.sim ~delay:core.detect_delay (fun _ ->
         (* a recovery, or a later failure, of the link since then owns the
-           session: this failure was never detected *)
-        if core.link_gen.(l) = gen then begin
-          touch_fwd core;
-          react ()
-        end)
+           session: this failure was never detected. [react] marks what it
+           writes itself: the failure instant already marked the link. *)
+        if core.link_gen.(l) = gen then react ())
 
 let recover_link core u v ~react =
   ignore (next_gen core ~op:"recover_link" u v : int);
   Link_state.recover_link core.links u v;
-  touch_fwd core;
+  mark_all_fwd core;
   trace_link core u v Trace.Session_up;
   react ()
 
 let fail_node core v =
   Link_state.fail_node core.links v;
-  touch_fwd core;
+  mark_all_fwd core;
   trace_node core v Trace.Session_reset
 
 let recover_node core v =
   Link_state.recover_node core.links v;
-  touch_fwd core;
+  mark_all_fwd core;
   trace_node core v Trace.Session_up

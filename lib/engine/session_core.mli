@@ -143,36 +143,64 @@ val last_change : 'msg t -> float
 (** Time of the most recent {!note_decision} (0. if none): the convergence
     instant once the queue drains. *)
 
-(** {1 Forwarding epoch}
+(** {1 Forwarding plane: the dirty set}
 
-    A probe walks every AS's forwarding chain; most probes follow slices
-    in which no forwarding input changed. The core keeps a counter, the
-    forwarding epoch, and the status array of the last walk: when the
-    epoch has not moved since, {!cached_walk} returns that array again
-    without walking.
+    An engine installs its forwarding step once ({!on_forward}); a probe
+    ({!probe}) then re-walks only what changed since the previous one. The
+    core keeps a dirty set of vertices: a probe re-steps the dirty
+    vertices' (vertex, packet state) cells, and re-walks only the cells
+    upstream of those whose step code changed ({!Fwd_walk.refresh}).
 
-    Contract: every write that can change what an engine's forwarding
-    step (or start state) returns must bump the epoch. The core bumps it
-    itself in {!note_decision} (any best-route change, and with it STAMP's
-    [unstable] flips, which happen in the same step), in {!fail_link}
-    (both at the failure instant and when the delayed [react] runs),
-    {!recover_link}, {!fail_node} and {!recover_node}. Engines must call
-    {!touch_fwd} for any other forwarding input they keep: R-BGP's
-    failover RIB and withdrawn route, the hybrid's backup route. Writes to
-    the {!links} overlay go through this module only.
+    Contract: every write that can change what [step v s] or [start v]
+    returns must mark [v] ({!mark_fwd}) before the next probe.
+    - The core marks [node] in {!note_decision}: a best-route change, and
+      with it STAMP's [unstable] flips and start colour and R-BGP's
+      withdrawn route, which change only in the same decision step at the
+      same vertex.
+    - The core marks every vertex in {!fail_link} (at the failure
+      instant), {!recover_link}, {!fail_node} and {!recover_node}: a step
+      reads the {!links} overlay at its own vertex and, for R-BGP's pinned
+      failover paths, along whole paths. These events are rare. Writes to
+      the overlay go through this module only.
+    - Engines mark the vertex for any other forwarding input they keep:
+      the hybrid's backup route, R-BGP's failover RIB, and R-BGP's RCI
+      purge of its failover RIB and withdrawn route. This includes writes
+      in a [react] run after the failure instant: a delayed [react] runs
+      with no mark of its own. (The failover entry a session reset clears
+      is the one over the failed link, which no step reads while the link
+      is down.)
 
-    Invariant: an array returned by {!cached_walk} is shared with every
-    later probe of the same epoch, so nobody — engine, monitor or caller —
-    may mutate it in place. *)
+    Invariant: an array returned by {!probe} is never mutated — not by
+    the core, an engine, the monitor or a caller. A probe after which no
+    status moved returns the very array of the previous probe. *)
 
-val touch_fwd : 'msg t -> unit
-(** Bump the forwarding epoch: the next {!cached_walk} walks afresh. *)
+val on_forward :
+  'msg t ->
+  dest:Topology.vertex ->
+  num_states:int ->
+  start:(Topology.vertex -> int) ->
+  step:(Topology.vertex -> int -> int) ->
+  unit
+(** Install the engine's forwarding step, encoded as for
+    {!Fwd_walk.walk_all}. Like {!on_receive}, kept separate from {!create}
+    so the step can close over the engine's own state.
+    @raise Invalid_argument on [num_states < 1]. *)
 
-val cached_walk :
-  'msg t -> ('a -> Fwd_walk.status array) -> 'a -> Fwd_walk.status array
-(** [cached_walk core walk x] is [walk x] when the forwarding epoch moved
-    since the last call (or on the first call), and otherwise the very
-    array that call returned. Only one array is retained per core. *)
+val mark_fwd : 'msg t -> Topology.vertex -> unit
+(** [mark_fwd core v]: [v]'s forwarding step or start state may have
+    changed; the next {!probe} re-steps it. *)
+
+val probe : 'msg t -> Fwd_walk.status array
+(** Forwarding-plane status of every AS right now, walking only the
+    upstream cone of the changed cells. The very array of the previous
+    probe when no status moved.
+    @raise Invalid_argument before {!on_forward}. *)
+
+val fresh_walk : 'msg t -> Fwd_walk.status array
+(** A walk from scratch over the installed step, leaving the dirty set
+    and the probe state untouched: the reference {!probe} is tested
+    against.
+    @raise Invalid_argument before {!on_forward}. *)
 
 (** {1 Tracing} *)
 
@@ -186,8 +214,8 @@ val note_decision :
   new_next:Topology.vertex option ->
   cause:string ->
   unit
-(** Record a best-route change: moves {!last_change}, bumps the
-    forwarding epoch ({!touch_fwd}) and emits a {!Trace.Decision} event at
+(** Record a best-route change: moves {!last_change}, marks [node] dirty
+    ({!mark_fwd}) and emits a {!Trace.Decision} event at
     the router (next hops are translated to ASN space; [None] = no route
     or the origin's own route). The side effects other than the event are
     unconditional, so engines call this at every best-route change whether

@@ -143,7 +143,7 @@ let learn_cause t r cause =
         rib
     in
     purge r.proc.adj_rib_in (fun (rt : Route.t) -> rt.as_path);
-    Session_core.touch_fwd t.core;
+    Session_core.mark_fwd t.core r.proc.self;
     purge r.failover_rib Fun.id;
     (match r.withdrawn with
     | Some (w : Route.t) when path_hits_cause w.as_path cause ->
@@ -186,16 +186,68 @@ let receive t r ~slot msg =
           }
     | Withdraw _ -> Process.withdraw r.proc ~slot
     | Failover { path = None; _ } ->
-      Session_core.touch_fwd t.core;
+      Session_core.mark_fwd t.core r.proc.self;
       r.failover_rib.(slot) <- None
     | Failover { path = Some p; _ } ->
-      Session_core.touch_fwd t.core;
+      Session_core.mark_fwd t.core r.proc.self;
       let stale =
         t.rci && List.exists (fun c -> path_hits_cause p c) r.known_causes
       in
       r.failover_rib.(slot) <- (if stale then None else Some p));
     recompute t r
   end
+
+(* --- forwarding ------------------------------------------------------- *)
+
+(* A pinned failover path delivers iff every hop is alive. *)
+let pinned_alive t path =
+  let links = Session_core.links t.core in
+  let rec scan = function
+    | a :: (b :: _ as rest) -> Link_state.link_up links a b && scan rest
+    | [ x ] -> Link_state.node_up links x
+    | [] -> true
+  in
+  scan path
+
+(* One packet state; a step returns the next hop itself as its code. A
+   step reads [v]'s best route, withdrawn route and failover RIB, and the
+   links along the pinned failover paths. *)
+let step t =
+  let links = Session_core.links t.core in
+  fun v _ ->
+    if not (Link_state.node_up links v) then Fwd_walk.drop
+    else begin
+      let r = t.routers.(v) in
+      let primary = Process.next_hop_up r.proc links in
+      if primary >= 0 then primary
+      else
+        (* keep forwarding along the withdrawn route until an alternative
+           or a root cause invalidates it *)
+        let stale =
+          match r.withdrawn with
+          | Some w -> Process.hop_up links v w
+          | None -> -1
+        in
+        if stale >= 0 then stale
+        else begin
+          (* Deflect onto a stored failover path. The router picks the
+             lowest-numbered advertiser that is still reachable — it cannot
+             know whether the rest of the pinned path is alive. Under RCI,
+             stale failover paths were purged, so the pick is trustworthy;
+             without RCI the packet follows a possibly dead path and is
+             lost. *)
+          let nbrs = Topology.neighbors t.topo v in
+          let rec pick i =
+            if i >= Array.length nbrs then Fwd_walk.drop
+            else
+              match r.failover_rib.(i) with
+              | Some path when Link_state.link_up links v (fst nbrs.(i)) ->
+                if pinned_alive t path then Fwd_walk.deliver else Fwd_walk.drop
+              | Some _ | None -> pick (i + 1)
+          in
+          pick 0
+        end
+    end
 
 let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
     ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(trace = Trace.null) () =
@@ -221,6 +273,8 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
   let t = { core; topo; dest; rci; routers } in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t t.routers.(dst) ~slot msg);
+  Session_core.on_forward core ~dest ~num_states:1
+    ~start:(fun _ -> 0) ~step:(step t);
   t
 
 let start t = recompute t t.routers.(t.dest)
@@ -235,7 +289,6 @@ let reset_session t r peer =
   | Some _ | None -> ()
 
 let drop_session t u v =
-  Session_core.touch_fwd t.core;
   reset_session t t.routers.(u) v;
   reset_session t t.routers.(v) u
 
@@ -323,62 +376,8 @@ let best t v = t.routers.(v).proc.best
 let failover_choices t v =
   List.filter_map Fun.id (Array.to_list t.routers.(v).failover_rib)
 
-(* A pinned failover path delivers iff every hop is alive. *)
-let pinned_alive t path =
-  let links = Session_core.links t.core in
-  let rec scan = function
-    | a :: (b :: _ as rest) -> Link_state.link_up links a b && scan rest
-    | [ x ] -> Link_state.node_up links x
-    | [] -> true
-  in
-  scan path
-
-(* One packet state; a step returns the next hop itself as its code. *)
-let walk_fresh t =
-  let links = Session_core.links t.core in
-  let step v _ =
-    if not (Link_state.node_up links v) then Fwd_walk.drop
-    else begin
-      let r = t.routers.(v) in
-      let primary = Process.next_hop_up r.proc links in
-      if primary >= 0 then primary
-      else
-        (* keep forwarding along the withdrawn route until an alternative
-           or a root cause invalidates it *)
-        let stale =
-          match r.withdrawn with
-          | Some w -> Process.hop_up links v w
-          | None -> -1
-        in
-        if stale >= 0 then stale
-        else begin
-          (* Deflect onto a stored failover path. The router picks the
-             lowest-numbered advertiser that is still reachable — it cannot
-             know whether the rest of the pinned path is alive. Under RCI,
-             stale failover paths were purged, so the pick is trustworthy;
-             without RCI the packet follows a possibly dead path and is
-             lost. *)
-          let nbrs = Topology.neighbors t.topo v in
-          let rec pick i =
-            if i >= Array.length nbrs then Fwd_walk.drop
-            else
-              match r.failover_rib.(i) with
-              | Some path when Link_state.link_up links v (fst nbrs.(i)) ->
-                if pinned_alive t path then Fwd_walk.deliver else Fwd_walk.drop
-              | Some _ | None -> pick (i + 1)
-          in
-          pick 0
-        end
-    end
-  in
-  Fwd_walk.walk_all
-    ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~num_states:1
-    ~start:(fun _ -> 0)
-    ~step
-
-let walk_all t = Session_core.cached_walk t.core walk_fresh t
-let touch_fwd t = Session_core.touch_fwd t.core
+let walk_all t = Session_core.probe t.core
+let fresh_walk t = Session_core.fresh_walk t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

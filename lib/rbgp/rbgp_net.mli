@@ -84,11 +84,11 @@ val failover_choices : t -> Topology.vertex -> Topology.vertex list list
 val walk_all : t -> Fwd_walk.status array
 (** Forwarding status of every AS under R-BGP forwarding: primary next hop
     when available, otherwise deflection onto a stored failover path.
-    Cached until the next forwarding change, like {!Bgp_net.walk_all}: the
-    array may be shared with earlier calls and must not be mutated. *)
+    Incremental, like {!Bgp_net.walk_all}: the array may be shared with
+    earlier calls and must not be mutated. *)
 
-val touch_fwd : t -> unit
-(** Invalidate the cached walk (see {!Session_core.touch_fwd}). *)
+val fresh_walk : t -> Fwd_walk.status array
+(** {!walk_all} from scratch, leaving the probe state untouched. *)
 
 val message_count : t -> int
 val last_change : t -> float

@@ -121,19 +121,21 @@ let providers t v = t.providers.(v)
 let customers t v = t.customers.(v)
 let peers t v = t.peers.(v)
 
-(* Binary search: [adj.(u)] is sorted by neighbour. *)
+(* Binary search: [adj.(u)] is sorted by neighbour. A top-level loop, so
+   a lookup allocates no closure: [Link_state.link_up] runs it at every
+   forwarding step while a link is down. *)
+let rec search (a : (vertex * Relationship.t) array) (v : vertex) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let w = fst (Array.unsafe_get a mid) in
+    if w = v then mid
+    else if w < v then search a v (mid + 1) hi
+    else search a v lo mid
+
 let slot t u v =
   let a = t.adj.(u) in
-  let rec search lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let w = fst (Array.unsafe_get a mid) in
-      if w = v then mid
-      else if w < v then search (mid + 1) hi
-      else search lo mid
-  in
-  search 0 (Array.length a)
+  search a v 0 (Array.length a)
 
 let rel t u v =
   let i = slot t u v in

@@ -161,7 +161,7 @@ let stub : (module Engine.S) =
     let deny_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
     let allow_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
     let probe () = [||]
-    let touch_fwd () = ()
+    let fresh_walk () = [||]
     let message_count () = 0
     let last_change () = 0.
     let counters () = Counters.make ()

@@ -108,7 +108,7 @@ let rules =
     };
     (* Every best-route change goes through Process.decide, the one place
        that installs a new best route and reports it (trace event,
-       forwarding epoch, convergence instant); an engine reporting
+       forwarding dirty mark, convergence instant); an engine reporting
        decisions itself would drift from the other engines' causes. *)
     {
       name = "one decision path in lib/";
@@ -117,10 +117,22 @@ let rules =
       allowed = contains_fragment [ "bgp/process.ml" ];
       why = "install best routes with Process.decide";
     };
+    (* Engines probe the forwarding plane through Session_core, whose
+       dirty set decides what a probe re-walks; an engine walking on its
+       own would bypass the marks (and the test that checks them). *)
+    {
+      name = "one probe path in lib/";
+      patterns =
+        [ "Fwd_walk.walk_all"; "Fwd_walk.create"; "Fwd_walk.refresh" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "lib/engine/" ];
+      why = "probe with Session_core.probe (fresh: Session_core.fresh_walk)";
+    };
     (* The per-message path is flat: channels and MRAI timers are indexed
-       by directed edge id, RIBs by neighbour slot. A hash table in the
-       session core or the routing process would bring back a hash per
-       message. *)
+       by directed edge id, RIBs by neighbour slot, failed links by edge
+       id. A hash table in the session core, the routing process or the
+       link overlay (read at every advertisement and forwarding step)
+       would bring back a hash per message. *)
     {
       name = "flat hot path in Session_core and Process";
       patterns = [ "Hashtbl" ];
@@ -129,7 +141,11 @@ let rules =
         (fun path ->
           not
             (contains_fragment
-               [ "engine/session_core.ml"; "bgp/process.ml" ]
+               [
+                 "engine/session_core.ml";
+                 "engine/link_state.ml";
+                 "bgp/process.ml";
+               ]
                path));
       why = "index by Topology edge id or neighbour slot";
     };

@@ -146,6 +146,44 @@ let test_channel_bad_bounds () =
     (Invalid_argument "Channel.create: bad delay bounds") (fun () ->
       ignore (Channel.create sim ~delay_lo:0.02 ~delay_hi:0.01 ~deliver:ignore))
 
+(* --- failure overlay ---------------------------------------------------- *)
+
+let test_link_state () =
+  let t = Test_support.diamond_plus () in
+  let v = Test_support.vtx t in
+  let ls = Link_state.create t in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.(check pairs) "nothing down" [] (Link_state.failed_links ls);
+  (* failed in an order neither sorted nor lower-first, one twice *)
+  Link_state.fail_link ls (v 3) (v 2);
+  Link_state.fail_link ls (v 20) (v 10);
+  Link_state.fail_link ls (v 1) (v 2);
+  Link_state.fail_link ls (v 2) (v 3);
+  let canon a b = (min a b, max a b) in
+  Alcotest.(check pairs) "sorted, lower vertex first"
+    (List.sort compare
+       [ canon (v 2) (v 3); canon (v 10) (v 20); canon (v 1) (v 2) ])
+    (Link_state.failed_links ls);
+  let up a b = Link_state.link_up ls (v a) (v b) in
+  Alcotest.(check bool) "down both ways" false (up 3 2);
+  Alcotest.(check bool) "other link up" true (up 1 3);
+  Link_state.recover_link ls (v 2) (v 3);
+  Link_state.recover_link ls (v 3) (v 2);
+  Link_state.recover_link ls (v 10) (v 20);
+  Alcotest.(check pairs) "recovered twice, once counted"
+    [ canon (v 1) (v 2) ]
+    (Link_state.failed_links ls);
+  Alcotest.(check bool) "still down" false (up 2 1);
+  Link_state.recover_link ls (v 1) (v 2);
+  Alcotest.(check bool) "up again" true (up 2 1);
+  Link_state.fail_node ls (v 3);
+  Alcotest.(check bool) "node down" false (up 1 3);
+  Alcotest.(check pairs) "a node failure fails no link" []
+    (Link_state.failed_links ls);
+  Alcotest.check_raises "not adjacent"
+    (Invalid_argument "Link_state: vertices not adjacent") (fun () ->
+      Link_state.fail_link ls (v 10) (v 3))
+
 (* --- instant-delivery property (Theorem 5.1 corollary) -------------------- *)
 
 let test_instant_delivery_when_fully_covered () =
@@ -238,6 +276,7 @@ let () =
           Alcotest.test_case "clock advance" `Quick
             test_sim_run_advances_clock_without_events;
           Alcotest.test_case "channel bounds" `Quick test_channel_bad_bounds;
+          Alcotest.test_case "link state" `Quick test_link_state;
         ] );
       ( "stamp-instant",
         [

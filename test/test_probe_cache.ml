@@ -1,14 +1,17 @@
-(* The forwarding-epoch probe cache and the int-coded walker.
+(* The incremental forwarding-plane probe and the int-coded walker.
 
-   1. Cache equivalence: for every engine in Runner.engines, on generated
+   1. Probe equivalence: for every engine in Runner.engines, on generated
       topologies, under link failure, node fail -> recover, export
       deny -> allow and churn, each with instant and with delayed failure
-      detection, the probe taken after every simulation event (possibly
-      the cached array of an earlier one) equals a fresh walk forced by
-      invalidating the cache. Checking after every event is stricter than
+      detection, the probe taken after every simulation event equals a
+      walk from scratch ([Engine.fresh_walk]), and it is the previous
+      probe's array exactly when no status moved. A missing dirty mark in
+      an engine shows up here. Checking after every event is stricter than
       after every 20 ms monitor slice: a slice ends after its last event.
    2. Walker equivalence: [Fwd_walk.walk_all] agrees with a hop-limited,
-      memo-free reference walker on random multi-state step tables. *)
+      memo-free reference walker on random multi-state step tables, and
+      [Fwd_walk.refresh] agrees with [walk_all] after random rewrites of
+      such a table. *)
 
 let engines = List.map snd Runner.engines
 
@@ -85,9 +88,20 @@ let max_events = 2_000_000
 
 type tally = { mutable checks : int; mutable hits : int }
 
+let same_statuses a b =
+  Array.length a = Array.length b && Array.for_all2 Fwd_walk.equal_status a b
+
+(* Whether [got], probed after [prev] (whose contents were [prev_copy]),
+   equals [fresh], left [prev] as it was, and is [prev] itself exactly
+   when no status moved. *)
+let probe_ok ~prev ~prev_copy ~got ~fresh =
+  same_statuses got fresh
+  && same_statuses prev prev_copy
+  && (got == prev) = (prev <> [||] && same_statuses got prev_copy)
+
 (* Converge, inject, then step the simulation one event at a time. After
-   each event the engine's probe (cached when the epoch stood still) must
-   equal a fresh walk. Returns the time of the first mismatch, if any. *)
+   each event the engine's probe must pass [probe_ok] against a walk from
+   scratch. Returns the time of the first failure, if any. *)
 let check_run tally engine topo (spec : Scenario.spec) ~detect_delay ~seed =
   let sim = Sim.create ~seed () in
   let config = { Engine.default_config with seed; detect_delay } in
@@ -95,17 +109,19 @@ let check_run tally engine topo (spec : Scenario.spec) ~detect_delay ~seed =
   Engine.start inst;
   ignore (Sim.run_guarded ~max_events sim);
   List.iter (inject inst sim) spec.events;
-  let prev = ref [||] in
+  let prev = ref [||] and prev_copy = ref [||] in
   let mismatch = ref None in
   let check () =
-    let cached = Engine.probe inst in
-    if cached == !prev then tally.hits <- tally.hits + 1;
-    Engine.touch_fwd inst;
-    let fresh = Engine.probe inst in
+    let got = Engine.probe inst in
+    if got == !prev then tally.hits <- tally.hits + 1;
+    let fresh = Engine.fresh_walk inst in
     tally.checks <- tally.checks + 1;
-    if !mismatch = None && not (Array.for_all2 Fwd_walk.equal_status cached fresh)
+    if
+      !mismatch = None
+      && not (probe_ok ~prev:!prev ~prev_copy:!prev_copy ~got ~fresh)
     then mismatch := Some (Sim.now sim);
-    prev := fresh
+    prev := got;
+    prev_copy := Array.copy got
   in
   check ();
   while Sim.pending sim > 0 && Sim.events_processed sim < max_events do
@@ -138,15 +154,16 @@ let prop_cache_equivalence =
                   | None -> true
                   | Some at ->
                     QCheck2.Test.fail_reportf
-                      "%s, %s, detect_delay %g: cached probe differs from a \
-                       fresh walk at t=%g"
+                      "%s, %s, detect_delay %g: probe differs from a walk \
+                       from scratch, or kept or replaced its array wrongly, at \
+                       t=%g"
                       (let (module E : Engine.S) = engine in
                        E.name)
                       label detect_delay at)
                 engines)
             [ 0.; 1.5 ])
         (scenarios st topo)
-      && (* the cache must actually be hit, and not on every check *)
+      && (* some probes keep their array, and not every one *)
       tally.hits > 0 && tally.hits < tally.checks)
 
 (* --- 2. walker equivalence ------------------------------------------- *)
@@ -161,9 +178,9 @@ type table = {
   step : int array;
 }
 
-let gen_table =
+let gen_table ~max_n =
   QCheck2.Gen.(
-    let* n = int_range 1 12 in
+    let* n = int_range 1 max_n in
     let* num_states = int_range 1 4 in
     let* dest = int_range 0 (n - 1) in
     let* start = array_size (return n) (int_range 0 (num_states - 1)) in
@@ -202,7 +219,7 @@ let reference t v =
 
 let prop_walk_matches_reference =
   Test_support.qtest ~count:500 "walk_all = hop-limited reference walker"
-    gen_table print_table (fun t ->
+    (gen_table ~max_n:12) print_table (fun t ->
       let got =
         Fwd_walk.walk_all ~n:t.n ~dest:t.dest ~num_states:t.num_states
           ~start:(fun v -> t.start.(v))
@@ -210,6 +227,81 @@ let prop_walk_matches_reference =
       in
       Array.for_all Fun.id
         (Array.init t.n (fun v -> Fwd_walk.equal_status got.(v) (reference t v))))
+
+(* A rewrite of the table: one cell's step code, or one start state. *)
+type rewrite = Cell of int * int | Start of int * int
+
+let gen_rounds t =
+  QCheck2.Gen.(
+    let cells = t.n * t.num_states in
+    let rewrite =
+      oneof
+        [
+          map2
+            (fun x code -> Cell (x, code))
+            (int_range 0 (cells - 1))
+            (frequency
+               [
+                 (1, return Fwd_walk.drop);
+                 (1, return Fwd_walk.deliver);
+                 (6, int_range 0 (cells - 1));
+               ]);
+          map2
+            (fun v s -> Start (v, s))
+            (int_range 0 (t.n - 1))
+            (int_range 0 (t.num_states - 1));
+        ]
+    in
+    list_size (int_range 1 12) (list_size (int_range 0 3) rewrite))
+
+let print_rounds rounds =
+  let rewrite = function
+    | Cell (x, code) -> Printf.sprintf "cell %d <- %d" x code
+    | Start (v, s) -> Printf.sprintf "start %d <- %d" v s
+  in
+  String.concat " | "
+    (List.map (fun r -> String.concat ", " (List.map rewrite r)) rounds)
+
+(* Rewrite a random table round by round, marking each rewritten vertex;
+   after every round the incremental walker must pass [probe_ok] against
+   [walk_all] on the current table. *)
+let prop_refresh_matches_walk_all =
+  Test_support.qtest ~count:500
+    "refresh = walk_all after random rewrites, array kept iff unchanged"
+    QCheck2.Gen.(
+      let* t = gen_table ~max_n:40 in
+      let* rounds = gen_rounds t in
+      return (t, rounds))
+    (fun (t, rounds) -> print_table t ^ " rounds: " ^ print_rounds rounds)
+    (fun (t, rounds) ->
+      let start = Array.copy t.start and step = Array.copy t.step in
+      let k = t.num_states in
+      let walker_args f =
+        f ~n:t.n ~dest:t.dest ~num_states:k
+          ~start:(fun v -> start.(v))
+          ~step:(fun v s -> step.((v * k) + s))
+      in
+      let w = walker_args Fwd_walk.create in
+      let prev = ref (Fwd_walk.refresh w) in
+      let prev_copy = ref (Array.copy !prev) in
+      List.for_all
+        (fun round ->
+          List.iter
+            (function
+              | Cell (x, code) ->
+                step.(x) <- code;
+                Fwd_walk.mark w (x / k)
+              | Start (v, s) ->
+                start.(v) <- s;
+                Fwd_walk.mark w v)
+            round;
+          let got = Fwd_walk.refresh w in
+          let fresh = walker_args Fwd_walk.walk_all in
+          let ok = probe_ok ~prev:!prev ~prev_copy:!prev_copy ~got ~fresh in
+          prev := got;
+          prev_copy := Array.copy got;
+          ok)
+        rounds)
 
 let test_bad_codes () =
   let walk ~start ~step =
@@ -236,6 +328,7 @@ let () =
       ( "walker",
         [
           prop_walk_matches_reference;
+          prop_refresh_matches_walk_all;
           Alcotest.test_case "bad codes rejected" `Quick test_bad_codes;
         ] );
     ]
