@@ -1,11 +1,9 @@
 (* Benchmark / reproduction harness: one target per table and figure of the
-   paper's evaluation (Section 6), plus Bechamel micro-benchmarks of the
-   core data structures.
+   paper's evaluation (Section 6).
 
      dune exec bench/main.exe                 # all figures
      dune exec bench/main.exe -- fig2         # one figure
      dune exec bench/main.exe -- all --n 4000 --instances 100   # paper scale
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
 
    Absolute counts depend on the topology size (the paper used a ~27k-AS
    RouteViews graph; the default here is 1000 ASes), so each table prints
@@ -48,7 +46,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [fig1|fig2|fig3a|fig3b|node|policy|partial|overhead|delay|\n\
     \                 flap|churn|ablation|motivation|trace|smoke|staticcheck|\n\
-    \                 all|micro]\n\
+    \                 all]\n\
     \                [--n N] [--instances I] [--seed S] [--samples K] [--mrai M]\n\
     \                [--csv DIR] [--jobs N] [--json FILE] [--trace FILE]\n\
     \                [--max-events N] [--max-vtime SECONDS]";
@@ -144,8 +142,8 @@ let record_target ?bars ?counters name wall =
     | Some j -> Printf.sprintf ", \"%s\": %s" field j
   in
   json_entries :=
-    Printf.sprintf "{\"target\": %S, \"wall_s\": %.3f%s%s}" name wall
-      (opt "bars" bars) (opt "counters" counters)
+    Printf.sprintf "{\"target\": %s, \"wall_s\": %.3f%s%s}"
+      (Json.string name) wall (opt "bars" bars) (opt "counters" counters)
     :: !json_entries
 
 let write_json cfg =
@@ -585,7 +583,8 @@ let smoke pool cfg =
               exit 1
             end)
           [ "announcements"; "withdrawals"; "mrai_deferrals"; "lost_to_resets" ];
-        Printf.sprintf "{\"engine\": %S, \"counters\": %s}" engine_name j)
+        Printf.sprintf "{\"engine\": %s, \"counters\": %s}"
+          (Json.string engine_name) j)
       Runner.engines
   in
   Format.printf "smoke OK: update counters wired for %d engines@."
@@ -593,82 +592,6 @@ let smoke pool cfg =
   record_target "smoke" wall
     ~bars:(Report.bars_stats_to_json par)
     ~counters:("[" ^ String.concat ", " counter_rows ^ "]")
-
-(* --- Bechamel micro-benchmarks ---------------------------------------- *)
-
-let micro cfg =
-  let open Bechamel in
-  let t = topology cfg in
-  let dest = (Topology.multi_homed t).(0) in
-  let st = Random.State.make [| cfg.seed |] in
-  let bench_decision =
-    let routes =
-      List.init 16 (fun i ->
-          {
-            Route.as_path = List.init ((i mod 5) + 1) (fun j -> i + j + 1);
-            cls =
-              (match i mod 3 with
-              | 0 -> Relationship.Customer
-              | 1 -> Relationship.Peer
-              | _ -> Relationship.Provider);
-          })
-    in
-    Test.make ~name:"decision_process_16_routes"
-      (Staged.stage (fun () -> ignore (Decision.select routes)))
-  in
-  let bench_heap =
-    Test.make ~name:"event_heap_push_pop_1k"
-      (Staged.stage (fun () ->
-           let h = Event_heap.create () in
-           for i = 0 to 999 do
-             Event_heap.push h ~time:(float_of_int ((i * 7919) mod 997)) i
-           done;
-           while Event_heap.pop_min h <> None do
-             ()
-           done))
-  in
-  let bench_oracle =
-    Test.make ~name:"static_oracle_fixed_point"
-      (Staged.stage (fun () -> ignore (Static_route.compute t ~dest)))
-  in
-  let bench_phi =
-    Test.make ~name:"phi_one_destination_20_samples"
-      (Staged.stage (fun () -> ignore (Phi.phi ~samples:20 st t ~dest)))
-  in
-  let bench_walk =
-    let sim = Sim.create ~seed:cfg.seed () in
-    let net = Bgp_net.create sim t ~dest () in
-    Bgp_net.start net;
-    Sim.run sim;
-    (* a walk from scratch every run, not the incremental probe *)
-    Test.make ~name:"forwarding_walk_all_ases"
-      (Staged.stage (fun () -> ignore (Bgp_net.fresh_walk net)))
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg_b =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    Benchmark.all cfg_b instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  section "Bechamel micro-benchmarks (ns/run)";
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some (e :: _) -> Format.printf "%-36s %12.1f ns/run@." name e
-          | Some [] | None -> Format.printf "%-36s (no estimate)@." name)
-        results)
-    [ bench_decision; bench_heap; bench_oracle; bench_phi; bench_walk ]
 
 (* --- main ---------------------------------------------------------------- *)
 
@@ -694,7 +617,6 @@ let () =
       | "trace" -> trace_overhead pool cfg
       | "smoke" -> smoke pool cfg
       | "staticcheck" -> staticcheck pool cfg
-      | "micro" -> micro cfg
       | "all" ->
         fig1 pool cfg;
         fig2 pool cfg;

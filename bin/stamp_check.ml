@@ -33,11 +33,6 @@ let run topo_file scenario_file json strict quiet mrai detect =
       if strict then report.Staticcheck.diagnostics
       else Staticcheck.errors report
     in
-    let failing =
-      List.filter
-        (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-        failing
-    in
     if failing = [] then 0
     else begin
       if not (json || quiet) then

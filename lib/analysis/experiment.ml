@@ -306,9 +306,3 @@ let trace_overhead ?(instances = 10) ?(seed = 1) ?(mrai_base = 30.)
   let memory_s, mems = pass (fun () -> Trace.memory ()) in
   let identical = List.for_all2 (fun a b -> key a = key b) nulls mems in
   { null_s; memory_s; traced_events = !traced; identical }
-
-let preflight ?pool ?(instances = 20) ?(seed = 1) ?mrai_base ?detect_delay
-    ~scenario topo =
-  let specs = sample_specs ~instances ~seed scenario topo in
-  let reports = Staticcheck.preflight ?pool ?mrai_base ?detect_delay topo specs in
-  List.combine specs reports

@@ -245,24 +245,3 @@ val trace_overhead :
     ({!Runner.run_engine}), so it would time the null pass again.
     Deliberately sequential (no [?pool]): sinks are single-domain state
     and the metric is per-core cost. *)
-
-(** {1 Pre-flight validation}
-
-    The static analyzer applied to a whole sweep's worth of scenario
-    instances before anything is simulated. *)
-
-val preflight :
-  ?pool:Parallel.t ->
-  ?instances:int ->
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?detect_delay:float ->
-  scenario:(Random.State.t -> Topology.t -> Scenario.spec) ->
-  Topology.t ->
-  (Scenario.spec * Staticcheck.report) list
-(** Sample [instances] scenarios exactly as the sweeps do (default 20,
-    same [seed] convention) and batch them through
-    {!Staticcheck.preflight} over [pool] — each report carries per-check
-    timings, so analyzer cost is measurable per instance. A sweep whose
-    pre-flight shows error-free reports cannot be rejected by
-    [?validate:`Strict] runs on the same specs. *)

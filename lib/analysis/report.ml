@@ -37,24 +37,6 @@ let pp_fig1 ppf (r : Experiment.fig1_result) =
   Format.fprintf ppf "%-42s %10.3f %10s@]" "fraction of dests with Phi > 0.9"
     r.frac_above_09 "> 0.75"
 
-let pp_bars ~paper ppf (bars : Experiment.bars) =
-  let bgp_measured = List.assoc Runner.Bgp bars in
-  let bgp_paper = List.assoc Runner.Bgp paper in
-  Format.fprintf ppf "@[<v>%-20s %12s %8s %12s %8s@," "protocol" "measured"
-    "(ratio)" "paper" "(ratio)";
-  List.iter
-    (fun (proto, avg) ->
-      let ratio total v = if total > 0. then v /. total else 0. in
-      let paper_v = List.assoc proto paper in
-      Format.fprintf ppf "%-20s %12.1f %7.1f%% %12.0f %7.1f%%@,"
-        (Runner.protocol_name proto)
-        avg
-        (100. *. ratio bgp_measured avg)
-        paper_v
-        (100. *. ratio bgp_paper paper_v))
-    bars;
-  Format.fprintf ppf "@]"
-
 let pp_bars_plain ppf (bars : Experiment.bars) =
   let bgp = List.assoc Runner.Bgp bars in
   Format.fprintf ppf "@[<v>%-20s %12s %8s@," "protocol" "measured" "(ratio)";
@@ -120,9 +102,9 @@ let bars_stats_to_json rows =
       (List.map
          (fun (proto, (s : Stat.summary)) ->
            Printf.sprintf
-             "{\"protocol\": %S, \"mean\": %s, \"stddev\": %s, \"median\": \
+             "{\"protocol\": %s, \"mean\": %s, \"stddev\": %s, \"median\": \
               %s, \"min\": %s, \"max\": %s}"
-             (Runner.protocol_name proto)
+             (Json.string (Runner.protocol_name proto))
              (json_float s.Stat.mean) (json_float s.Stat.stddev)
              (json_float s.Stat.median) (json_float s.Stat.min)
              (json_float s.Stat.max))
@@ -141,8 +123,8 @@ let bars_to_json rows =
   ^ String.concat ", "
       (List.map
          (fun (proto, avg) ->
-           Printf.sprintf "{\"protocol\": %S, \"mean\": %s}"
-             (Runner.protocol_name proto) (json_float avg))
+           Printf.sprintf "{\"protocol\": %s, \"mean\": %s}"
+             (Json.string (Runner.protocol_name proto)) (json_float avg))
          rows)
   ^ "]"
 
@@ -167,23 +149,23 @@ let churn_to_json (rows, summaries) =
       match r.outcome with
       | Ok (res : Runner.result) ->
         Printf.sprintf
-          "\"verdict\": %S, \"transient_count\": %d, \"broken_after\": %d, \
+          "\"verdict\": %s, \"transient_count\": %d, \"broken_after\": %d, \
            \"messages_event\": %d, \"counters\": %s"
-          (Sim.verdict_name res.verdict)
+          (Json.string (Sim.verdict_name res.verdict))
           res.transient_count res.broken_after res.messages_event
           (counters_to_json res.counters)
-      | Error msg -> Printf.sprintf "\"error\": %S" msg
+      | Error msg -> "\"error\": " ^ Json.string msg
     in
-    Printf.sprintf "{\"protocol\": %S, \"instance\": %d, \"seed\": %d, %s}"
-      (Runner.protocol_name r.row_protocol)
+    Printf.sprintf "{\"protocol\": %s, \"instance\": %d, \"seed\": %d, %s}"
+      (Json.string (Runner.protocol_name r.row_protocol))
       r.instance r.job_seed outcome
   in
   let summary_json (s : Experiment.churn_summary) =
     Printf.sprintf
-      "{\"protocol\": %S, \"completed\": %d, \"crashed\": %d, \"converged\": \
+      "{\"protocol\": %s, \"completed\": %d, \"crashed\": %d, \"converged\": \
        %d, \"event_budget_exhausted\": %d, \"time_budget_exhausted\": %d, \
        \"avg_transients\": %s, \"avg_messages_event\": %s}"
-      (Runner.protocol_name s.protocol)
+      (Json.string (Runner.protocol_name s.protocol))
       s.completed s.crashed s.converged s.event_budget_exhausted
       s.time_budget_exhausted
       (json_float s.avg_transients)

@@ -6,14 +6,6 @@ val pp_fig1 : Format.formatter -> Experiment.fig1_result -> unit
     statistics (mean Φ random vs intelligent, tail fractions), each next to
     the paper's value. *)
 
-val pp_bars :
-  paper:(Runner.protocol * float) list ->
-  Format.formatter ->
-  Experiment.bars ->
-  unit
-(** A Figure 2/3-style bar group: one row per protocol with the measured
-    average count and the paper's count. *)
-
 val pp_bars_plain : Format.formatter -> Experiment.bars -> unit
 (** A bar group without a paper column (for workloads the paper describes
     but does not plot, e.g. pure policy-change events). *)
@@ -23,8 +15,9 @@ val pp_bars_stats :
   Format.formatter ->
   (Runner.protocol * Stat.summary) list ->
   unit
-(** Like {!pp_bars} with the spread across instances (± population standard
-    deviation and the worst instance). *)
+(** A Figure 2/3-style bar group: one row per protocol with the measured
+    mean count, its spread across instances (± population standard
+    deviation and the worst instance) and the paper's count. *)
 
 val pp_overhead : Format.formatter -> Experiment.overhead_result list -> unit
 (** Section 6.3 message-overhead and convergence-delay table. *)

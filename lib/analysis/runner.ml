@@ -66,18 +66,10 @@ let rec event_loc topo = function
 
 (* Apply one scenario event through the packed engine; [At] defers the inner
    event on the simulation clock, so churn streams interleave with the
-   protocol's own reaction. An engine refusing an event kind surfaces as a
-   clear [Invalid_argument] naming the engine and the kind. Concrete events
-   are traced at their application instant (a deferred event when its timer
-   fires), before the engine's reaction. *)
+   protocol's own reaction. Concrete events are traced at their application
+   instant (a deferred event when its timer fires), before the engine's
+   reaction. *)
 let rec inject ~trace topo (net : Engine.instance) sim event =
-  let apply f =
-    try f ()
-    with Engine.Unsupported { engine; what } ->
-      invalid_arg
-        (Printf.sprintf "Runner: the %s engine does not support %s events"
-           engine what)
-  in
   (match event with
   | Scenario.At _ -> ()
   | e ->
@@ -87,14 +79,12 @@ let rec inject ~trace topo (net : Engine.instance) sim event =
         (Trace.Scenario_event
            (Format.asprintf "%a" (Scenario.pp_event topo) e)));
   match event with
-  | Scenario.Fail_link (u, v) -> apply (fun () -> Engine.fail_link net u v)
-  | Scenario.Fail_node v -> apply (fun () -> Engine.fail_node net v)
-  | Scenario.Deny_export (u, v) -> apply (fun () -> Engine.deny_export net u v)
-  | Scenario.Recover_link (u, v) ->
-    apply (fun () -> Engine.recover_link net u v)
-  | Scenario.Recover_node v -> apply (fun () -> Engine.recover_node net v)
-  | Scenario.Allow_export (u, v) ->
-    apply (fun () -> Engine.allow_export net u v)
+  | Scenario.Fail_link (u, v) -> Engine.fail_link net u v
+  | Scenario.Fail_node v -> Engine.fail_node net v
+  | Scenario.Deny_export (u, v) -> Engine.deny_export net u v
+  | Scenario.Recover_link (u, v) -> Engine.recover_link net u v
+  | Scenario.Recover_node v -> Engine.recover_node net v
+  | Scenario.Allow_export (u, v) -> Engine.allow_export net u v
   | Scenario.At (dt, e) ->
     Sim.schedule sim ~delay:dt (fun _ -> inject ~trace topo net sim e)
 
@@ -123,9 +113,7 @@ let create ~seed ~mrai_base ~detect_delay ~validate ~trace engine topo
   in
   let checked = validate_spec ~validate ~mrai_base ~detect_delay topo spec in
   let sim = Sim.create ~seed () in
-  let config =
-    { Engine.default_config with seed; mrai_base; detect_delay; trace }
-  in
+  let config = { Engine.seed; mrai_base; detect_delay; trace } in
   (checked, sim, Engine.create engine sim topo ~dest:spec.dest config)
 
 (* What the converge-and-inject step leaves for the reconvergence phase.

@@ -118,9 +118,8 @@ val run_engine :
     yields a reconstructed {!Timeline.t} in the result. With the null sink
     the run is bit-identical to an untraced one: tracing draws no
     randomness and schedules nothing.
-    @raise Invalid_argument if the engine reports an event kind as
-    {!Engine.Unsupported} (the message names the engine and the kind), or
-    under [`Strict] when the static analysis finds an error. *)
+    @raise Invalid_argument under [`Strict] when the static analysis finds
+    an error. *)
 
 val run :
   ?seed:int ->

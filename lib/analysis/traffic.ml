@@ -12,10 +12,6 @@ type summary = {
   verdict : Sim.verdict;
 }
 
-let loop_share s =
-  if s.loss_events = 0 then nan
-  else float_of_int s.loop_events /. float_of_int s.loss_events
-
 type acc = {
   mutable probes : int;
   mutable delivered : int;

@@ -23,10 +23,6 @@ type summary = {
           drained, otherwise which budget killed the run *)
 }
 
-val loop_share : summary -> float
-(** Fraction of loss observations that were loops ([nan] when no losses
-    were observed). *)
-
 val observe :
   Sim.t ->
   ?interval:float ->

@@ -42,13 +42,10 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
   let prev = ref [||] in
   let final = ref [||] in
   let last_status_change = ref (Sim.now sim) in
-  let mark_troubled statuses =
-    let troubled = !troubled in
-    Array.iteri
-      (fun v s ->
-        if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
-          troubled.(v) <- true)
-      statuses
+  let observe ~changed v s =
+    if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
+      !troubled.(v) <- true;
+    match on_status with Some f -> f ~changed v s | None -> ()
   in
   let note ~final:is_final statuses =
     incr checkpoints;
@@ -56,10 +53,7 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
       (* baseline snapshot: every AS's status at the observation start,
          reported unchanged so observers can seed their state *)
       troubled := Array.make (Array.length statuses) false;
-      (match on_status with
-      | Some f -> Array.iteri (fun v s -> f ~changed:false v s) statuses
-      | None -> ());
-      mark_troubled statuses;
+      Array.iteri (observe ~changed:false) statuses;
       prev := statuses
     end;
     if is_final then begin
@@ -77,27 +71,19 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
     end
     (* A probe that returns the previous array itself (an engine's probe
        when no status moved: probe results are never mutated) changed
-       nothing, and its troubled ASes are already marked. *)
+       nothing. Otherwise only the ASes whose status moved can become
+       troubled: an unchanged non-delivered AS was marked when it changed
+       (or at the baseline). *)
     else if statuses != !prev then begin
-      mark_troubled statuses;
-      (* change detection: with an observer, report each AS whose status
-         moved since the previous checkpoint (the exact per-AS deltas the
-         aggregate below is computed from); without one, keep the
-         short-circuiting comparison *)
-      (match on_status with
-      | None ->
-        if not (Array.for_all2 Fwd_walk.equal_status statuses !prev) then
-          last_status_change := Sim.now sim
-      | Some f ->
-        let any = ref false in
-        Array.iteri
-          (fun v s ->
-            if not (Fwd_walk.equal_status s !prev.(v)) then begin
-              any := true;
-              f ~changed:true v s
-            end)
-          statuses;
-        if !any then last_status_change := Sim.now sim);
+      let any = ref false in
+      Array.iteri
+        (fun v s ->
+          if not (Fwd_walk.equal_status s !prev.(v)) then begin
+            any := true;
+            observe ~changed:true v s
+          end)
+        statuses;
+      if !any then last_status_change := Sim.now sim;
       prev := statuses
     end
   in

@@ -6,7 +6,6 @@ let make ~name:engine_name ?deployed () : (module Engine.S) =
 
     let create sim topo ~dest (c : Engine.config) =
       Bgp_net.create sim topo ~dest ?deployed ~mrai_base:c.mrai_base
-        ~delay_lo:c.delay_lo ~delay_hi:c.delay_hi
         ~detect_delay:c.detect_delay ~trace:c.trace ()
 
     let probe = walk_all

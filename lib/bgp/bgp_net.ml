@@ -10,13 +10,7 @@ type t = {
   upgraded : bool array;
   backup : Route.t option array;  (** upgraded ASes only: the blue table *)
   num_states : int;  (** packet states: 2 when some AS is upgraded, else 1 *)
-  mutable route_changes : int;
 }
-
-let sim t = Session_core.sim t.core
-let topology t = t.topo
-let dest t = t.dest
-let is_deployed t v = t.upgraded.(v)
 
 (* --- advertisement: policy on top of the shared skeleton ------------- *)
 
@@ -74,7 +68,6 @@ let recompute t v =
   let p = t.procs.(v) in
   let best' = if v = t.dest then Some Route.origin else Process.select p in
   let changed = Process.decide p t.core best' in
-  if changed then t.route_changes <- t.route_changes + 1;
   recompute_backup t v;
   if changed then advertise_all t v
 
@@ -125,13 +118,12 @@ let step t =
 (* --- construction -------------------------------------------------- *)
 
 let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
-    ?(delay_lo = 0.010) ?(delay_hi = 0.020) ?(detect_delay = 0.)
-    ?(trace = Trace.null) () =
+    ?(detect_delay = 0.) ?(trace = Trace.null) () =
   let n = Topology.num_vertices topo in
   if dest < 0 || dest >= n then invalid_arg "Bgp_net.create: bad destination";
   let upgraded = Array.init n deployed in
   let core =
-    Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~trace
+    Session_core.create ~mrai_base ~detect_delay ~trace
       ~who:"Bgp_net" sim topo
   in
   let t =
@@ -147,7 +139,6 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
       upgraded;
       backup = Array.make n None;
       num_states = (if Array.exists Fun.id upgraded then 2 else 1);
-      route_changes = 0;
     }
   in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
@@ -227,5 +218,4 @@ let fresh_walk t = Session_core.fresh_walk t.core
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core
-let route_changes t = t.route_changes
 let counters t = Session_core.counters t.core

@@ -41,8 +41,6 @@ val create :
   dest:Topology.vertex ->
   ?deployed:(Topology.vertex -> bool) ->
   ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
   ?detect_delay:float ->
   ?trace:Trace.sink ->
   unit ->
@@ -58,13 +56,6 @@ val create :
 val start : t -> unit
 (** The destination announces its own prefix to all neighbours (time 0 of
     the experiment). Call exactly once, then {!Sim.run}. *)
-
-val sim : t -> Sim.t
-val topology : t -> Topology.t
-val dest : t -> Topology.vertex
-
-val is_deployed : t -> Topology.vertex -> bool
-(** Whether the AS is upgraded (keeps a backup route). *)
 
 (** {1 Failure injection} — take effect at the current simulation time. *)
 
@@ -143,9 +134,6 @@ val message_count : t -> int
 val last_change : t -> float
 (** Simulation time of the most recent best-route change anywhere
     (0. if none): the convergence instant once the queue drains. *)
-
-val route_changes : t -> int
-(** Total number of best-route changes across all routers. *)
 
 val counters : t -> Counters.t
 (** The engine's live {!Session_core} update counters. *)

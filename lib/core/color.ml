@@ -14,4 +14,3 @@ let of_int = function
 
 let all = [ Red; Blue ]
 let to_string = function Red -> "red" | Blue -> "blue"
-let pp ppf c = Format.pp_print_string ppf (to_string c)

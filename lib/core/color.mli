@@ -19,4 +19,3 @@ val all : t list
 (** [[Red; Blue]]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

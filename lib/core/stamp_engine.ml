@@ -12,7 +12,6 @@ let make ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
          make_driver order *)
       let coloring = Coloring.create strategy ~seed:c.seed topo ~dest in
       Stamp_net.create sim topo ~dest ~coloring ~mrai_base:c.mrai_base
-        ~delay_lo:c.delay_lo ~delay_hi:c.delay_hi
         ~detect_delay:c.detect_delay ~spread_unlocked_blue ~trace:c.trace ()
 
     let probe = walk_all

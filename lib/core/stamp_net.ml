@@ -26,9 +26,6 @@ type t = {
   routers : router array;
 }
 
-let sim t = Session_core.sim t.core
-let dest t = t.dest
-
 let proc r color = r.procs.(Color.to_int color)
 
 (* --- selective announcement ----------------------------------------- *)
@@ -245,7 +242,7 @@ let forwarding t =
       end
     end
   in
-  (* the source's {!in_use} colour, Blue when it has no route *)
+  (* the colour of the source's preferred route, Blue when it has none *)
   let start v =
     let procs = t.routers.(v).procs in
     match (procs.(Color.to_int Red).best, procs.(Color.to_int Blue).best) with
@@ -258,9 +255,8 @@ let forwarding t =
 
 (* --- construction ----------------------------------------------------- *)
 
-let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
-    ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(spread_unlocked_blue = false)
-    ?(trace = Trace.null) () =
+let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(detect_delay = 0.)
+    ?(spread_unlocked_blue = false) ?(trace = Trace.null) () =
   let n = Topology.num_vertices topo in
   if dest < 0 || dest >= n then invalid_arg "Stamp_net.create: bad destination";
   let routers =
@@ -278,8 +274,8 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
      Color.all order exactly as before *)
   let core =
-    Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~procs:2
-      ~trace ~who:"Stamp_net" sim topo
+    Session_core.create ~mrai_base ~detect_delay ~procs:2 ~trace
+      ~who:"Stamp_net" sim topo
   in
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
@@ -378,16 +374,7 @@ let path t color v =
   Option.map (fun (r : Route.t) -> v :: r.as_path) (best t color v)
 
 let has_both t v = best t Color.Red v <> None && best t Color.Blue v <> None
-let blue_is_locked t v = blue_lock_held t t.routers.(v)
 let unstable t color v = t.routers.(v).unstable.(Color.to_int color)
-
-let in_use t v =
-  match (best t Color.Red v, best t Color.Blue v) with
-  | None, None -> None
-  | Some _, None -> Some Color.Red
-  | None, Some _ -> Some Color.Blue
-  | Some r, Some b ->
-    if Decision.better r b then Some Color.Red else Some Color.Blue
 
 let walk_all t = Session_core.probe t.core
 let fresh_walk t = Session_core.fresh_walk t.core

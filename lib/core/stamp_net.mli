@@ -31,8 +31,6 @@ val create :
   dest:Topology.vertex ->
   coloring:Coloring.t ->
   ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
   ?detect_delay:float ->
   ?spread_unlocked_blue:bool ->
   ?trace:Trace.sink ->
@@ -53,9 +51,6 @@ val create :
 
 val start : t -> unit
 (** The destination originates its prefix on both processes. *)
-
-val sim : t -> Sim.t
-val dest : t -> Topology.vertex
 
 (** {1 Failure injection} *)
 
@@ -95,23 +90,15 @@ val path : t -> Color.t -> Topology.vertex -> Topology.vertex list option
 val has_both : t -> Topology.vertex -> bool
 (** Whether both processes currently hold a route at this AS. *)
 
-val blue_is_locked : t -> Topology.vertex -> bool
-(** Whether the AS holds any blue route with the [Lock] attribute set
-    (its own origin route counts at the destination). *)
-
 val unstable : t -> Color.t -> Topology.vertex -> bool
 (** Whether the process is currently flagged unstable at this AS (it
     received a loss-caused update or an adjacent failure on its best). *)
 
-val in_use : t -> Topology.vertex -> Color.t option
-(** The process whose route the AS currently prefers for its own traffic
-    ([None] when neither process has a route). *)
-
 val walk_all : t -> Fwd_walk.status array
 (** Colour-aware forwarding status of every AS: packets start in the
-    source's {!in_use} colour, follow same-colour routes, and are
-    re-coloured at most once when the current colour's route is missing,
-    broken or unstable. Incremental, like {!Bgp_net.walk_all}: the array
+    colour of the source's preferred route, follow same-colour routes,
+    and are re-coloured at most once when the current colour's route is
+    missing, broken or unstable. Incremental, like {!Bgp_net.walk_all}: the array
     may be shared with earlier calls and must not be mutated. *)
 
 val fresh_walk : t -> Fwd_walk.status array

@@ -22,12 +22,6 @@ let non_negative c =
   c.announcements >= 0 && c.withdrawals >= 0 && c.mrai_deferrals >= 0
   && c.lost_to_resets >= 0
 
-let add ~into c =
-  into.announcements <- into.announcements + c.announcements;
-  into.withdrawals <- into.withdrawals + c.withdrawals;
-  into.mrai_deferrals <- into.mrai_deferrals + c.mrai_deferrals;
-  into.lost_to_resets <- into.lost_to_resets + c.lost_to_resets
-
 let pp ppf c =
   Format.fprintf ppf "ann=%d wd=%d mrai-deferred=%d lost=%d" c.announcements
     c.withdrawals c.mrai_deferrals c.lost_to_resets

@@ -27,7 +27,4 @@ val messages : t -> int
 
 val non_negative : t -> bool
 
-val add : into:t -> t -> unit
-(** Accumulate [c] into [into] (for aggregating across runs). *)
-
 val pp : Format.formatter -> t -> unit

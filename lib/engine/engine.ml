@@ -1,19 +1,12 @@
 type config = {
   seed : int;
   mrai_base : float;
-  delay_lo : float;
-  delay_hi : float;
   detect_delay : float;
   trace : Trace.sink;
 }
 
 let default_config =
-  { seed = 0; mrai_base = 30.; delay_lo = 0.010; delay_hi = 0.020;
-    detect_delay = 0.; trace = Trace.null }
-
-exception Unsupported of { engine : string; what : string }
-
-let unsupported ~engine what = raise (Unsupported { engine; what })
+  { seed = 0; mrai_base = 30.; detect_delay = 0.; trace = Trace.null }
 
 module type S = sig
   type t

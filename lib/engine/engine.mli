@@ -16,8 +16,6 @@ type config = {
       (** protocol-level seeding beyond the simulation RNG (e.g. STAMP's
           coloring draw) *)
   mrai_base : float;  (** MRAI base interval in seconds (paper: 30 s) *)
-  delay_lo : float;  (** message-delay lower bound (paper: 10 ms) *)
-  delay_hi : float;  (** message-delay upper bound (paper: 20 ms) *)
   detect_delay : float;
       (** seconds between a link failing and the adjacent routers reacting
           (0 = instantaneous detection) *)
@@ -28,17 +26,9 @@ type config = {
 }
 
 val default_config : config
-(** The paper's parameters: seed 0, MRAI 30 s, delays U[10 ms, 20 ms],
-    instantaneous failure detection, no tracing. *)
-
-exception Unsupported of { engine : string; what : string }
-(** Raised by an engine for an event kind it genuinely cannot model;
-    [what] names the event kind. The generic Runner turns this into a
-    clear [Invalid_argument]. None of the four built-in engines raise
-    it — it exists for restricted future engines. *)
-
-val unsupported : engine:string -> string -> 'a
-(** [unsupported ~engine what] raises {!Unsupported}. *)
+(** The paper's parameters: seed 0, MRAI 30 s, instantaneous failure
+    detection, no tracing. Message delays are always the paper's
+    U[10 ms, 20 ms] ({!Channel.create}'s defaults). *)
 
 (** The engine lifecycle. All failure/recovery and policy operations take
     effect at the current simulation time. *)

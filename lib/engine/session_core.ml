@@ -45,8 +45,8 @@ let deliver core u v ~slot msg =
     core.counters.lost_to_resets <- core.counters.lost_to_resets + 1
   end
 
-let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
-    ?(detect_delay = 0.) ?(procs = 1) ?(trace = Trace.null) ~who sim topo =
+let create ?(mrai_base = 30.) ?(detect_delay = 0.) ?(procs = 1)
+    ?(trace = Trace.null) ~who sim topo =
   if detect_delay < 0. || Float.is_nan detect_delay then
     invalid_arg (who ^ ".create: negative detect delay");
   if procs < 1 then invalid_arg (who ^ ".create: non-positive process count");
@@ -78,7 +78,7 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
       (List.init (Topology.num_vertices topo) (fun u ->
            Array.map
              (fun (v, _) ->
-               Channel.create sim ~delay_lo ~delay_hi
+               Channel.create sim
                  ~deliver:(deliver core u v ~slot:(Topology.slot topo v u)))
              (Topology.neighbors topo u)));
   (* [procs] MRAI timers per directed edge, by increasing edge id then
@@ -92,15 +92,12 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
   core
 
 let on_receive core handler = core.handler <- handler
-let sim core = core.sim
 let links core = core.links
 let counters core = core.counters
-let detect_delay core = core.detect_delay
 let link_up core u v = Link_state.link_up core.links u v
 let node_up core v = Link_state.node_up core.links v
 let last_change core = core.last_change
 let message_count core = Counters.messages core.counters
-let trace core = core.trace
 let trace_enabled core = Trace.enabled core.trace
 let emit_node core v kind = trace_node core v kind
 

@@ -27,8 +27,6 @@ type 'msg t
 
 val create :
   ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
   ?detect_delay:float ->
   ?procs:int ->
   ?trace:Trace.sink ->
@@ -127,11 +125,9 @@ val slot : 'msg t -> op:string -> Topology.vertex -> Topology.vertex -> int
 
 (** {1 Observation} *)
 
-val sim : 'msg t -> Sim.t
 val links : 'msg t -> Link_state.t
 val link_up : 'msg t -> Topology.vertex -> Topology.vertex -> bool
 val node_up : 'msg t -> Topology.vertex -> bool
-val detect_delay : 'msg t -> float
 
 val counters : 'msg t -> Counters.t
 (** Live counters (mutated as the engine runs); snapshot before storing. *)
@@ -204,7 +200,6 @@ val fresh_walk : 'msg t -> Fwd_walk.status array
 
 (** {1 Tracing} *)
 
-val trace : 'msg t -> Trace.sink
 val trace_enabled : 'msg t -> bool
 
 val note_decision :

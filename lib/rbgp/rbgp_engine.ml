@@ -6,7 +6,6 @@ let make ~rci:rci_enabled ~name:engine_name : (module Engine.S) =
 
     let create sim topo ~dest (c : Engine.config) =
       Rbgp_net.create sim topo ~dest ~rci:rci_enabled ~mrai_base:c.mrai_base
-        ~delay_lo:c.delay_lo ~delay_hi:c.delay_hi
         ~detect_delay:c.detect_delay ~trace:c.trace ()
 
     let probe = walk_all

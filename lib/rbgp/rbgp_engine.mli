@@ -3,6 +3,3 @@
 
 val no_rci : (module Engine.S)
 val rci : (module Engine.S)
-
-val make : rci:bool -> name:string -> (module Engine.S)
-(** A custom-named R-BGP variant. *)

@@ -29,9 +29,6 @@ type t = {
   routers : router array;
 }
 
-let sim t = Session_core.sim t.core
-let dest t = t.dest
-
 let cause_equal a b =
   match (a, b) with
   | Link (u, v), Link (u', v') -> (u = u' && v = v') || (u = v' && v = u')
@@ -249,8 +246,8 @@ let step t =
         end
     end
 
-let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
-    ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(trace = Trace.null) () =
+let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(detect_delay = 0.)
+    ?(trace = Trace.null) () =
   let n = Topology.num_vertices topo in
   if dest < 0 || dest >= n then invalid_arg "Rbgp_net.create: bad destination";
   let routers =
@@ -267,7 +264,7 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(delay_lo = 0.010)
         })
   in
   let core =
-    Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~trace
+    Session_core.create ~mrai_base ~detect_delay ~trace
       ~who:"Rbgp_net" sim topo
   in
   let t = { core; topo; dest; rci; routers } in

@@ -30,8 +30,6 @@ val create :
   dest:Topology.vertex ->
   rci:bool ->
   ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
   ?detect_delay:float ->
   ?trace:Trace.sink ->
   unit ->
@@ -44,9 +42,6 @@ val create :
 
 val start : t -> unit
 (** The destination announces its prefix; run the sim to converge. *)
-
-val sim : t -> Sim.t
-val dest : t -> Topology.vertex
 
 val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
 (** Fail a link at the current simulation time; adjacent routers react

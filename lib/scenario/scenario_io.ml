@@ -98,9 +98,3 @@ let to_string topo (spec : Scenario.spec) =
       Buffer.add_char buf '\n')
     spec.events;
   Buffer.contents buf
-
-let save topo spec path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string topo spec))

@@ -34,6 +34,3 @@ val load : Topology.t -> string -> Scenario.spec
 
 val to_string : Topology.t -> Scenario.spec -> string
 (** Serialize a spec to the scenario format. Round-trips with {!parse}. *)
-
-val save : Topology.t -> Scenario.spec -> string -> unit
-(** Write {!to_string} output to a file. *)

@@ -13,17 +13,3 @@ module type CHECK = sig
   val doc : string
   val run : ctx -> Diagnostic.t list
 end
-
-module Registry = struct
-  let checks : (module CHECK) list ref = ref []
-
-  let id (module C : CHECK) = C.id
-
-  let register c =
-    if not (List.exists (fun c' -> id c' = id c) !checks) then
-      checks := !checks @ [ c ]
-
-  let find name = List.find_opt (fun c -> id c = name) !checks
-  let names () = List.map id !checks
-  let all () = !checks
-end

@@ -1,8 +1,5 @@
-(** One static check: a named, self-registering pass over a topology and
-    (optionally) a scenario — check modules run [Registry.register] as a
-    toplevel effect, and
-    {!Staticcheck} forces their linking, so the catalog extends without
-    touching the driver. *)
+(** One static check: a named pass over a topology and (optionally) a
+    scenario. {!Staticcheck} lists the built-in checks. *)
 
 type ctx = {
   topo : Topology.t;
@@ -31,15 +28,4 @@ module type CHECK = sig
   val id : string
   val doc : string
   val run : ctx -> Diagnostic.t list
-end
-
-(** Id → check mapping. Registration order is preserved (it is the report
-    order); duplicate ids are ignored so re-registration is harmless. *)
-module Registry : sig
-  val register : (module CHECK) -> unit
-  val find : string -> (module CHECK) option
-  val names : unit -> string list
-
-  val all : unit -> (module CHECK) list
-  (** Registered checks in registration order. *)
 end

@@ -240,6 +240,3 @@ module Tier1_clique : Check.CHECK = struct
       end
     end
 end
-
-let () = Check.Registry.register (module Wellformed)
-let () = Check.Registry.register (module Tier1_clique)

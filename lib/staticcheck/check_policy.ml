@@ -194,6 +194,3 @@ module Dispute_wheel : Check.CHECK = struct
           wheels
     end
 end
-
-let () = Check.Registry.register (module Valley_free)
-let () = Check.Registry.register (module Dispute_wheel)

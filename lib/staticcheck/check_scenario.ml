@@ -191,5 +191,3 @@ module Sanity : Check.CHECK = struct
       | Some _ | None -> ());
       List.rev !diags
 end
-
-let () = Check.Registry.register (module Sanity)

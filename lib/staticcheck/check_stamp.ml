@@ -121,6 +121,3 @@ module Lock_coverage : Check.CHECK = struct
         (origins ctx)
     end
 end
-
-let () = Check.Registry.register (module Red_blue_disjoint)
-let () = Check.Registry.register (module Lock_coverage)

@@ -1,4 +1,4 @@
-type severity = Error | Warning | Info
+type severity = Error | Warning
 
 type location =
   | Global
@@ -19,13 +19,12 @@ let make severity ~check ?hint location message =
 let error ~check ?hint location message = make Error ~check ?hint location message
 let warning ~check ?hint location message =
   make Warning ~check ?hint location message
-let info ~check ?hint location message = make Info ~check ?hint location message
 
 let link a b = if a <= b then At_link (a, b) else At_link (b, a)
 
 let is_error d = d.severity = Error
 
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
+let severity_rank = function Error -> 0 | Warning -> 1
 
 let location_rank = function
   | Global -> (0, 0, 0)
@@ -45,7 +44,6 @@ let compare d d' =
 let severity_to_string = function
   | Error -> "error"
   | Warning -> "warning"
-  | Info -> "info"
 
 let pp_location ppf = function
   | Global -> Format.pp_print_string ppf "topology"
@@ -61,22 +59,6 @@ let pp ppf d =
   | None -> ()
   | Some h -> Format.fprintf ppf " (hint: %s)" h
 
-(* minimal JSON string escaping, same dialect as the bench writer *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let location_to_json = function
   | Global -> {|{"kind":"global"}|}
   | At_as a -> Printf.sprintf {|{"kind":"as","asn":%d}|} a
@@ -86,10 +68,10 @@ let to_json d =
   let hint =
     match d.hint with
     | None -> ""
-    | Some h -> Printf.sprintf {|,"hint":"%s"|} (escape h)
+    | Some h -> Printf.sprintf {|,"hint":%s|} (Json.string h)
   in
-  Printf.sprintf {|{"check":"%s","severity":"%s","location":%s,"message":"%s"%s}|}
-    (escape d.check)
+  Printf.sprintf {|{"check":%s,"severity":"%s","location":%s,"message":%s%s}|}
+    (Json.string d.check)
     (severity_to_string d.severity)
     (location_to_json d.location)
-    (escape d.message) hint
+    (Json.string d.message) hint

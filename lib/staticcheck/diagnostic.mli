@@ -7,7 +7,7 @@
     indices, so output is stable across re-interning and meaningful next
     to the input files. *)
 
-type severity = Error | Warning | Info
+type severity = Error | Warning
 
 type location =
   | Global  (** about the topology or scenario as a whole *)
@@ -24,7 +24,6 @@ type t = {
 
 val error : check:string -> ?hint:string -> location -> string -> t
 val warning : check:string -> ?hint:string -> location -> string -> t
-val info : check:string -> ?hint:string -> location -> string -> t
 
 val link : int -> int -> location
 (** Normalised link location (smaller AS number first). *)
@@ -35,12 +34,9 @@ val compare : t -> t -> int
 (** Stable report order: severity (errors first), then check id, then
     location, then message. *)
 
-val severity_to_string : severity -> string
-
 val pp : Format.formatter -> t -> unit
 (** One line: [error topo.wellformed @ AS 7: message (hint: ...)]. *)
 
 val to_json : t -> string
 (** One JSON object, keys [check], [severity], [location], [message] and
-    optionally [hint]. No external JSON dependency: emitted by hand like
-    the bench's writer; messages are escaped. *)
+    optionally [hint]; strings are escaped with {!Json.string}. *)

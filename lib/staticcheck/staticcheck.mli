@@ -1,4 +1,4 @@
-(** The static safety analyzer: run every registered check over a
+(** The static safety analyzer: run every built-in check over a
     topology (and optionally a scenario) before simulating anything.
 
     STAMP's Section 3 guarantees only hold when the substrate obeys
@@ -8,7 +8,7 @@
     dispute wheel ⇒ convergence). This module decides all of that in
     milliseconds, so broken inputs are rejected instead of simulated.
 
-    Checks self-register in {!Check.Registry}; the built-in catalog:
+    The built-in catalog, in report order:
 
     - [topo.wellformed] — symmetric relationships, no self-loops, no
       provider cycles (SCC), connected graph;
@@ -18,12 +18,12 @@
       has an uphill path to a tier-1;
     - [policy.dispute-wheel] — no transit cycle through sibling groups:
       no dispute wheel, hence guaranteed convergence;
+    - [scenario.sanity] — events reference live nodes and links,
+      recoveries follow failures, MRAI / detect_delay in range;
     - [stamp.disjoint] — per origin, a node-disjoint red fallback for some
       locked-blue choice exists (warning when Φ = 0);
     - [stamp.lock-coverage] — per origin, a colouring point exists and its
-      locked blue path reaches a tier-1 (warning otherwise);
-    - [scenario.sanity] — events reference live nodes and links,
-      recoveries follow failures, MRAI / detect_delay in range.
+      locked blue path reaches a tier-1 (warning otherwise).
 
     Severity contract: structural violations that break the simulation's
     premises are errors; STAMP capability gaps and style issues are
@@ -46,7 +46,7 @@ type report = {
   diagnostics : Diagnostic.t list;  (** sorted with {!Diagnostic.compare} *)
   certificate : certificate;
   timings : (string * float) list;
-      (** per-check CPU seconds, in registration order *)
+      (** per-check CPU seconds, in catalog order *)
 }
 
 val analyze :
@@ -55,7 +55,7 @@ val analyze :
   ?detect_delay:float ->
   Topology.t ->
   report
-(** Run every registered check. With [spec], scenario checks run and the
+(** Run every built-in check. With [spec], scenario checks run and the
     per-origin STAMP checks restrict to the spec's destination; without,
     they sweep all destinations (the whole-topology lint). *)
 

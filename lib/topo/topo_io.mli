@@ -34,8 +34,6 @@ val parse_paths : string -> int list list
 val load_paths : string -> int list list
 (** [load_paths path] reads and parses a path file. *)
 
-val paths_to_string : int list list -> string
-(** Serialize AS paths, one per line. Round-trips with {!parse_paths}. *)
-
 val save_paths : int list list -> string -> unit
-(** Write {!paths_to_string} output to a file. *)
+(** Write AS paths to a file, one per line. Round-trips with
+    {!load_paths}. *)

@@ -192,7 +192,7 @@ let to_json t =
   let opt = function None -> "null" | Some f -> Printf.sprintf "%.17g" f in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"engine\":%S,\"event_time\":%.17g,\"converged_at\":%.17g,\
+       "{\"engine\":%s,\"event_time\":%.17g,\"converged_at\":%.17g,\
         \"first_loss\":%s,\"last_decision\":%s,\
         \"convergence_delay\":%.17g,\"recovery_delay\":%.17g,\
         \"transient_count\":%d,\"broken_after\":%d,\
@@ -200,7 +200,7 @@ let to_json t =
         \"enqueued_announcements\":%d,\"enqueued_withdrawals\":%d,\
         \"deliveries\":%d,\"drops\":%d,\"mrai_deferrals\":%d,\
         \"recolorings\":%d,\"windows\":["
-       t.engine t.event_time t.converged_at (opt t.first_loss)
+       (Json.string t.engine) t.event_time t.converged_at (opt t.first_loss)
        (opt t.last_decision) t.convergence_delay t.recovery_delay
        t.transient_count t.broken_after t.dropped_as_seconds t.decisions
        t.enqueued_announcements t.enqueued_withdrawals t.deliveries t.drops
@@ -209,8 +209,8 @@ let to_json t =
     (fun i w ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"asn\":%d,\"status\":%S,\"from\":%.17g,\"until\":%.17g}"
-           w.asn w.status w.from_t w.until_t))
+        (Printf.sprintf "{\"asn\":%d,\"status\":%s,\"from\":%.17g,\"until\":%.17g}"
+           w.asn (Json.string w.status) w.from_t w.until_t))
     t.windows;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -30,13 +30,7 @@ type event = {
 
 (* Sinks *)
 
-type memory_state = {
-  mutable buf : event array;  (* ring when bounded, growable otherwise *)
-  mutable len : int;          (* live events in [buf] *)
-  mutable start : int;        (* ring read position *)
-  mutable total : int;        (* emissions ever, = next seq *)
-  capacity : int option;
-}
+type memory_state = { mutable buf : event array; mutable len : int }
 
 type sink =
   | Null
@@ -44,14 +38,7 @@ type sink =
   | Stream of { oc : out_channel; mutable total : int }
 
 let null = Null
-
-let memory ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 ->
-      invalid_arg "Trace.memory: capacity must be positive"
-  | _ -> ());
-  Memory { buf = [||]; len = 0; start = 0; total = 0; capacity }
-
+let memory () = Memory { buf = [||]; len = 0 }
 let stream oc = Stream { oc; total = 0 }
 
 let enabled = function Null -> false | Memory _ | Stream _ -> true
@@ -60,45 +47,16 @@ let readable = function Memory _ -> true | Null | Stream _ -> false
 let dummy_event = { vtime = 0.; seq = 0; engine = ""; loc = Net; kind = Deliver }
 
 let push_memory m e =
-  (match m.capacity with
-  | Some cap ->
-      if Array.length m.buf = 0 then m.buf <- Array.make cap dummy_event;
-      if m.len < cap then begin
-        m.buf.((m.start + m.len) mod cap) <- e;
-        m.len <- m.len + 1
-      end
-      else begin
-        m.buf.(m.start) <- e;
-        m.start <- (m.start + 1) mod cap
-      end
-  | None ->
-      let n = Array.length m.buf in
-      if m.len = n then begin
-        let buf' = Array.make (max 64 (2 * n)) dummy_event in
-        Array.blit m.buf 0 buf' 0 n;
-        m.buf <- buf'
-      end;
-      m.buf.(m.len) <- e;
-      m.len <- m.len + 1);
-  m.total <- m.total + 1
+  let n = Array.length m.buf in
+  if m.len = n then begin
+    let buf' = Array.make (max 64 (2 * n)) dummy_event in
+    Array.blit m.buf 0 buf' 0 n;
+    m.buf <- buf'
+  end;
+  m.buf.(m.len) <- e;
+  m.len <- m.len + 1
 
 (* Serialisation, defined before [emit] because streaming needs it. *)
-
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
 
 let loc_string = function
   | Net -> "net"
@@ -126,15 +84,15 @@ let kind_label e = kind_name e.kind
 let to_json e =
   let b = Buffer.create 96 in
   Buffer.add_string b (Printf.sprintf "{\"t\":%.17g,\"seq\":%d,\"engine\":" e.vtime e.seq);
-  buf_add_json_string b e.engine;
+  Json.add_string b e.engine;
   Buffer.add_string b ",\"loc\":";
-  buf_add_json_string b (loc_string e.loc);
+  Json.add_string b (loc_string e.loc);
   Buffer.add_string b ",\"kind\":";
-  buf_add_json_string b (kind_name e.kind);
+  Json.add_string b (kind_name e.kind);
   (match e.kind with
   | Enqueue { msg; deliver_at } ->
       Buffer.add_string b ",\"msg\":";
-      buf_add_json_string b (msg_kind_string msg);
+      Json.add_string b (msg_kind_string msg);
       Buffer.add_string b (Printf.sprintf ",\"deliver_at\":%.17g" deliver_at)
   | Deliver | Drop | Session_reset | Session_up -> ()
   | Mrai_defer { until; proc } ->
@@ -145,29 +103,28 @@ let to_json e =
       Buffer.add_string b
         (Printf.sprintf ",\"old_next\":%s,\"new_next\":%s,\"cause\":" (opt old_next)
            (opt new_next));
-      buf_add_json_string b cause
+      Json.add_string b cause
   | Recolor { color; et_ok } ->
       Buffer.add_string b ",\"color\":";
-      buf_add_json_string b color;
+      Json.add_string b color;
       Buffer.add_string b (Printf.sprintf ",\"et_ok\":%b" et_ok)
   | Scenario_event label ->
       Buffer.add_string b ",\"label\":";
-      buf_add_json_string b label
+      Json.add_string b label
   | Status { status; changed } ->
       Buffer.add_string b ",\"status\":";
-      buf_add_json_string b status;
+      Json.add_string b status;
       Buffer.add_string b (Printf.sprintf ",\"changed\":%b" changed)
   | Phase name ->
       Buffer.add_string b ",\"name\":";
-      buf_add_json_string b name);
+      Json.add_string b name);
   Buffer.add_char b '}';
   Buffer.contents b
 
 let emit sink ~vtime ~engine ~loc kind =
   match sink with
   | Null -> ()
-  | Memory m ->
-      push_memory m { vtime; seq = m.total; engine; loc; kind }
+  | Memory m -> push_memory m { vtime; seq = m.len; engine; loc; kind }
   | Stream s ->
       let e = { vtime; seq = s.total; engine; loc; kind } in
       s.total <- s.total + 1;
@@ -176,25 +133,9 @@ let emit sink ~vtime ~engine ~loc kind =
 
 let events = function
   | Null | Stream _ -> []
-  | Memory m ->
-      List.init m.len (fun i ->
-          let cap = Array.length m.buf in
-          if cap = 0 then assert false
-          else m.buf.((m.start + i) mod cap))
+  | Memory m -> List.init m.len (Array.get m.buf)
 
-let recorded = function Null -> 0 | Memory m -> m.total | Stream s -> s.total
-
-let dropped = function
-  | Null | Stream _ -> 0
-  | Memory m -> m.total - m.len
-
-let clear = function
-  | Null | Stream _ -> ()
-  | Memory m ->
-      m.buf <- [||];
-      m.len <- 0;
-      m.start <- 0;
-      m.total <- 0
+let recorded = function Null -> 0 | Memory m -> m.len | Stream s -> s.total
 
 (* Minimal JSON-object parser: enough for the flat one-line objects
    [to_json] produces (string / number / bool / null values only). *)

@@ -8,7 +8,7 @@
     ASN space) and the id of the emitting engine.
 
     Events flow into a {!sink}: {!null} (tracing off — the default
-    everywhere), {!memory} (in-process buffer, optionally ring-bounded) or
+    everywhere), {!memory} (in-process buffer) or
     {!stream} (JSON-lines to an output channel, one event per line).
 
     Zero-cost-when-off contract: with the {!null} sink, {!enabled} is
@@ -71,10 +71,8 @@ type sink
 val null : sink
 (** The off switch: {!enabled} is [false], {!emit} is a no-op. *)
 
-val memory : ?capacity:int -> unit -> sink
-(** In-process buffer. Unbounded by default; with [capacity] it becomes a
-    ring that overwrites the oldest events ({!dropped} counts them).
-    @raise Invalid_argument on a non-positive capacity. *)
+val memory : unit -> sink
+(** In-process buffer that keeps every event. *)
 
 val stream : out_channel -> sink
 (** JSON-lines streaming sink: each event is written with {!to_json} plus a
@@ -97,13 +95,7 @@ val events : sink -> event list
 (** Chronological contents of a memory sink ([[]] for null/stream). *)
 
 val recorded : sink -> int
-(** Total events emitted into the sink (including ring-dropped ones). *)
-
-val dropped : sink -> int
-(** Events overwritten by a bounded memory ring. *)
-
-val clear : sink -> unit
-(** Reset a memory sink (events, counters, sequence numbers). *)
+(** Total events emitted into the sink. *)
 
 (** {1 Serialisation (JSONL)} *)
 

@@ -51,12 +51,3 @@ let mean t =
   Array.fold_left ( +. ) 0. t.sorted /. float_of_int (size t)
 
 let fraction_at_most = eval
-
-let pp ?(bins = 10) ppf t =
-  let lo = t.sorted.(0) and hi = t.sorted.(size t - 1) in
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to bins do
-    let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int bins) in
-    Format.fprintf ppf "%8.4f  %6.4f@," x (eval t x)
-  done;
-  Format.fprintf ppf "@]"

@@ -31,7 +31,3 @@ val mean : t -> float
 
 val fraction_at_most : t -> float -> float
 (** Alias of {!eval}, named for readability in experiment reports. *)
-
-val pp : ?bins:int -> Format.formatter -> t -> unit
-(** Render the CDF as an ASCII table of [bins] evenly spaced value points
-    (default 10). *)

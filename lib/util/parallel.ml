@@ -79,10 +79,6 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join domains
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
 let run_batch (type a) t (thunks : (unit -> a) array) : a array =
   let n = Array.length thunks in
   if n = 0 then [||]
@@ -140,22 +136,6 @@ let run_batch (type a) t (thunks : (unit -> a) array) : a array =
       results
   end
 
-let mapi t f xs =
+let map t f xs =
   Array.to_list
-    (run_batch t (Array.of_list (List.mapi (fun i x -> fun () -> f i x) xs)))
-
-let map t f xs = mapi t (fun _ x -> f x) xs
-
-(* Per-job exception capture: wrap each thunk so the batch always returns
-   and a crashing job becomes an [Error] row instead of poisoning the whole
-   sweep. *)
-let try_map t f xs =
-  Array.to_list
-    (run_batch t
-       (Array.of_list
-          (List.map
-             (fun x -> fun () -> try Ok (f x) with e -> Error e)
-             xs)))
-
-let map_reduce t ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map t f xs)
+    (run_batch t (Array.of_list (List.map (fun x -> fun () -> f x) xs)))

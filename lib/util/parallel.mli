@@ -41,10 +41,6 @@ val shutdown : t -> unit
 (** Join all worker domains. Idempotent. Submitting to a shut-down pool
     raises [Invalid_argument]. Never call while a batch is in flight. *)
 
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] over a fresh pool and shuts it down afterwards,
-    also on exception. *)
-
 val run_batch : t -> (unit -> 'a) array -> 'a array
 (** Execute every thunk, each exactly once, on the pool's workers and
     return their results in submission order. If one or more jobs raise,
@@ -58,19 +54,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs] with the applications distributed
     over the pool — same order, same exception contract as
     {!run_batch}. *)
-
-val mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map} with the submission index (the usual per-job seed
-    offset). *)
-
-val try_map : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Like {!map} but a raising job yields its own [Error] row instead of
-    re-raising in the submitter: the sweep completes and reports partial
-    data. Results are in submission order. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a list -> 'acc
-(** [map_reduce pool ~map ~reduce ~init xs] maps in parallel, then folds
-    the results {e sequentially in submission order} in the submitter —
-    deterministic even for non-commutative [reduce]. *)

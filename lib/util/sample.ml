@@ -6,10 +6,6 @@ let choose st a =
   if Array.length a = 0 then invalid_arg "Sample.choose: empty array";
   a.(Random.State.int st (Array.length a))
 
-let choose_list st = function
-  | [] -> invalid_arg "Sample.choose_list: empty list"
-  | xs -> List.nth xs (Random.State.int st (List.length xs))
-
 let weighted_index st w =
   let total = Array.fold_left ( +. ) 0. w in
   if total <= 0. then invalid_arg "Sample.weighted_index: non-positive sum";

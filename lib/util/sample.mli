@@ -11,10 +11,6 @@ val choose : Random.State.t -> 'a array -> 'a
 (** Uniform choice from a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val choose_list : Random.State.t -> 'a list -> 'a
-(** Uniform choice from a non-empty list.
-    @raise Invalid_argument on an empty list. *)
-
 val weighted_index : Random.State.t -> float array -> int
 (** [weighted_index st w] draws index [i] with probability proportional to
     [w.(i)]. Weights must be non-negative with a positive sum.

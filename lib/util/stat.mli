@@ -34,6 +34,3 @@ val median : float list -> float
 val summarize : float list -> summary
 (** Full {!summary} of the sample.
     @raise Invalid_argument on the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Human-readable one-line rendering of a {!summary}. *)

@@ -32,6 +32,11 @@ let diamond_plus () =
   Topology.Builder.add_p2c b ~provider:3 ~customer:4;
   Topology.Builder.build b
 
+(* A fresh domain pool for [f], shut down afterwards (also on exception). *)
+let with_pool ~jobs f =
+  let pool = Parallel.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
+
 (* A provider chain 1 <- 2 <- ... <- n (1 is the single tier-1). *)
 let chain n =
   let b = Topology.Builder.create () in

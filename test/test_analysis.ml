@@ -246,7 +246,7 @@ let test_runner_golden_via_pool () =
   let vtx = Test_support.vtx topo in
   List.iter
     (fun workers ->
-      Parallel.with_pool ~jobs:workers (fun pool ->
+      Test_support.with_pool ~jobs:workers (fun pool ->
           List.iter
             (fun (label, events, expected) ->
               let spec =

@@ -173,8 +173,7 @@ let test_traffic_no_event_no_loss () =
   let sim, net = Test_support.converge_bgp topo ~dest in
   (* nothing pending: a single observation, zero losses *)
   let s = Traffic.observe sim ~probe:(fun () -> Bgp_net.walk_all net) () in
-  Alcotest.(check int) "no loss" 0 s.Traffic.loss_events;
-  Alcotest.(check bool) "loop share nan" true (Float.is_nan (Traffic.loop_share s))
+  Alcotest.(check int) "no loss" 0 s.Traffic.loss_events
 
 let test_traffic_counts_losses () =
   let topo = Test_support.diamond () in

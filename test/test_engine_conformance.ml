@@ -141,67 +141,6 @@ let test_engine_list () =
         (Runner.protocol_name protocol) E.name)
     Runner.all_protocols
 
-(* A restricted engine: link events only, everything else rejected via
-   Engine.unsupported. The generic Runner must surface that as a clear
-   Invalid_argument naming the engine and the event kind — the error path
-   for engines that model only part of the event vocabulary. *)
-let stub_name = "stub (link events only)"
-
-let stub : (module Engine.S) =
-  (module struct
-    type t = unit
-
-    let name = stub_name
-    let create _ _ ~dest:_ _ = ()
-    let start () = ()
-    let fail_link () _ _ = ()
-    let recover_link () _ _ = ()
-    let fail_node () _ = Engine.unsupported ~engine:stub_name "node failure"
-    let recover_node () _ = Engine.unsupported ~engine:stub_name "node recovery"
-    let deny_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
-    let allow_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
-    let probe () = [||]
-    let fresh_walk () = [||]
-    let message_count () = 0
-    let last_change () = 0.
-    let counters () = Counters.make ()
-  end)
-
-let test_unsupported_events_error () =
-  let t = Test_support.diamond_plus () in
-  let dest = vtx t 3 in
-  let run events =
-    ignore
-      (Runner.run_engine ~seed:1 stub t
-         { Scenario.dest; events; detect_delay = None })
-  in
-  List.iter
-    (fun (label, events, what) ->
-      Alcotest.check_raises label
-        (Invalid_argument
-           (Printf.sprintf "Runner: the %s engine does not support %s events"
-              stub_name what))
-        (fun () -> run events))
-    [
-      ("node failure", [ Scenario.Fail_node (vtx t 1) ], "node failure");
-      ("node recovery", [ Scenario.Recover_node (vtx t 1) ], "node recovery");
-      ("export deny", [ Scenario.Deny_export (dest, vtx t 1) ], "export policy");
-      ( "export allow",
-        [ Scenario.Allow_export (dest, vtx t 1) ],
-        "export policy" );
-    ];
-  (* supported events pass through without tripping the guard *)
-  let r =
-    Runner.run_engine ~seed:1 stub t
-      {
-        Scenario.dest;
-        events = [ Scenario.Fail_link (dest, vtx t 1) ];
-        detect_delay = None;
-      }
-  in
-  Alcotest.(check string) "link events accepted" "converged"
-    (Sim.verdict_name r.Runner.verdict)
-
 (* The spec-level detect_delay override reaches every engine: with a slow
    control plane, plain BGP's forwarding is broken at the failure instant
    while the probe's virtual clock has not advanced past the detection
@@ -494,10 +433,5 @@ let () =
         [
           Alcotest.test_case "traces and results, every engine" `Quick
             test_engine_pins;
-        ] );
-      ( "errors",
-        [
-          Alcotest.test_case "unsupported events -> clear Invalid_argument"
-            `Quick test_unsupported_events_error;
         ] );
     ]

@@ -149,6 +149,17 @@ let rules =
                path));
       why = "index by Topology edge id or neighbour slot";
     };
+    (* OCaml's %S is not JSON: it writes control and non-ASCII bytes as
+       decimal escapes (\001, \195\169) that no JSON parser accepts.
+       Hand-written JSON writers quote their strings with Json.string or
+       Json.add_string. *)
+    {
+      name = "one JSON string escaper";
+      patterns = [ "\\\": %S"; "\\\":%S" ];
+      dirs = [ "lib"; "bin"; "bench" ];
+      allowed = (fun _ -> false);
+      why = "use the shared escaper (Json.string / Json.add_string)";
+    };
     (* Obj.magic defeats the type system wholesale; nothing in a
        simulator of this size justifies it. *)
     {

@@ -72,7 +72,7 @@ let test_pool_matches_sequential () =
   List.iter
     (fun workers ->
       let pooled =
-        Parallel.with_pool ~jobs:workers (fun pool ->
+        Test_support.with_pool ~jobs:workers (fun pool ->
             Parallel.map pool (fun (_, job) -> job ()) jobs)
       in
       List.iter2
@@ -86,7 +86,7 @@ let test_pool_matches_sequential () =
 
 let test_pool_repeated_batches_stable () =
   (* same pool, same batch twice: identical results both times *)
-  Parallel.with_pool ~jobs:4 (fun pool ->
+  Test_support.with_pool ~jobs:4 (fun pool ->
       let jobs = runner_jobs () in
       let once = Parallel.map pool (fun (_, job) -> job ()) jobs in
       let twice = Parallel.map pool (fun (_, job) -> job ()) jobs in
@@ -95,7 +95,7 @@ let test_pool_repeated_batches_stable () =
 (* --- exception contract ------------------------------------------------ *)
 
 let test_exception_reraised_rest_completes () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
+  Test_support.with_pool ~jobs:4 (fun pool ->
       let n = 16 in
       let ran = Array.make n false in
       let thunks =
@@ -115,36 +115,8 @@ let test_exception_reraised_rest_completes () =
       Alcotest.(check (array int)) "pool usable afterwards"
         [| 0; 1; 4; 9; 16 |] r)
 
-let test_try_map_captures_per_job () =
-  (* unlike run_batch, try_map keeps the whole sweep alive: raising jobs
-     become Error rows in submission order, the rest are Ok *)
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 12 Fun.id in
-      let results =
-        Parallel.try_map pool
-          (fun i -> if i mod 5 = 3 then failwith (Printf.sprintf "job%d" i)
-            else i * i)
-          xs
-      in
-      Alcotest.(check int) "one row per job" 12 (List.length results);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v -> Alcotest.(check int) (Printf.sprintf "ok %d" i) (i * i) v
-          | Error (Failure msg) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "raising job %d" i)
-              true
-              (i mod 5 = 3 && msg = Printf.sprintf "job%d" i)
-          | Error _ -> Alcotest.fail "unexpected exception")
-        results;
-      (* all-ok batch afterwards: the pool is unharmed *)
-      let again = Parallel.try_map pool succ [ 1; 2; 3 ] in
-      Alcotest.(check bool) "pool usable afterwards" true
-        (again = [ Ok 2; Ok 3; Ok 4 ]))
-
 let test_reentrant_submit_rejected () =
-  Parallel.with_pool ~jobs:2 (fun pool ->
+  Test_support.with_pool ~jobs:2 (fun pool ->
       match
         Parallel.run_batch pool
           [| (fun () -> Parallel.run_batch pool [| (fun () -> 0) |]) |]
@@ -164,42 +136,26 @@ let test_shutdown () =
 (* --- edge cases -------------------------------------------------------- *)
 
 let test_empty_batch () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
+  Test_support.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (array int)) "empty" [||] (Parallel.run_batch pool [||]);
       Alcotest.(check (list int)) "empty map" [] (Parallel.map pool succ []))
 
 let test_fewer_jobs_than_workers () =
-  Parallel.with_pool ~jobs:8 (fun pool ->
+  Test_support.with_pool ~jobs:8 (fun pool ->
       Alcotest.(check (list int)) "3 jobs on 8 workers" [ 1; 2; 3 ]
         (Parallel.map pool succ [ 0; 1; 2 ]))
 
 let test_jobs_clamped () =
-  Parallel.with_pool ~jobs:0 (fun pool ->
+  Test_support.with_pool ~jobs:0 (fun pool ->
       Alcotest.(check int) "clamped to 1" 1 (Parallel.jobs pool);
       Alcotest.(check (list int)) "still works" [ 10 ]
         (Parallel.map pool (fun x -> x * 10) [ 1 ]))
 
-let test_submission_order_and_mapi () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
+let test_submission_order () =
+  Test_support.with_pool ~jobs:4 (fun pool ->
       let xs = List.init 100 (fun i -> i) in
-      Alcotest.(check (list int)) "order preserved" xs (Parallel.map pool Fun.id xs);
-      Alcotest.(check (list (pair int string)))
-        "mapi passes submission index"
-        (List.map (fun i -> (i, string_of_int i)) xs)
-        (Parallel.mapi pool (fun i x -> (i, string_of_int x)) xs))
-
-let test_map_reduce_order () =
-  (* string concatenation is non-commutative: any out-of-order reduce
-     would be caught here *)
-  let xs = List.init 50 string_of_int in
-  let expected = String.concat "," xs in
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let got =
-        Parallel.map_reduce pool ~map:Fun.id
-          ~reduce:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-          ~init:"" xs
-      in
-      Alcotest.(check string) "in submission order" expected got)
+      Alcotest.(check (list int)) "order preserved" xs
+        (Parallel.map pool Fun.id xs))
 
 let () =
   Alcotest.run "parallel"
@@ -215,8 +171,6 @@ let () =
         [
           Alcotest.test_case "re-raised, batch completes" `Quick
             test_exception_reraised_rest_completes;
-          Alcotest.test_case "try_map captures per job" `Quick
-            test_try_map_captures_per_job;
           Alcotest.test_case "re-entrant submit rejected" `Quick
             test_reentrant_submit_rejected;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
@@ -227,8 +181,6 @@ let () =
           Alcotest.test_case "fewer jobs than workers" `Quick
             test_fewer_jobs_than_workers;
           Alcotest.test_case "jobs clamped to 1" `Quick test_jobs_clamped;
-          Alcotest.test_case "submission order / mapi" `Quick
-            test_submission_order_and_mapi;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_order;
+          Alcotest.test_case "submission order" `Quick test_submission_order;
         ] );
     ]

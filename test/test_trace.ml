@@ -66,27 +66,7 @@ let test_memory_sink () =
   Alcotest.(check int) "three events" 3 (List.length events);
   Alcotest.(check (list int)) "sequence numbers in emission order" [ 0; 1; 2 ]
     (List.map (fun e -> e.Trace.seq) events);
-  Alcotest.(check int) "recorded" 3 (Trace.recorded s);
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped s);
-  Trace.clear s;
-  Alcotest.(check int) "clear resets events" 0 (List.length (Trace.events s));
-  Alcotest.(check int) "clear resets counters" 0 (Trace.recorded s);
-  ev (Trace.Phase "again") s;
-  Alcotest.(check int) "sequence restarts after clear" 0
-    (List.hd (Trace.events s)).Trace.seq
-
-let test_ring_sink () =
-  let s = Trace.memory ~capacity:3 () in
-  for i = 0 to 7 do
-    ev ~vtime:(float_of_int i) Trace.Deliver s
-  done;
-  Alcotest.(check int) "all emissions counted" 8 (Trace.recorded s);
-  Alcotest.(check int) "overwritten ones counted" 5 (Trace.dropped s);
-  Alcotest.(check (list (float 0.))) "ring keeps the newest" [ 5.; 6.; 7. ]
-    (List.map (fun e -> e.Trace.vtime) (Trace.events s));
-  Alcotest.check_raises "non-positive capacity"
-    (Invalid_argument "Trace.memory: capacity must be positive") (fun () ->
-      ignore (Trace.memory ~capacity:0 ()))
+  Alcotest.(check int) "recorded" 3 (Trace.recorded s)
 
 let test_stream_sink () =
   let path = Filename.temp_file "trace_stream" ".jsonl" in
@@ -502,6 +482,30 @@ let test_timeline_shape () =
     (Astring.String.is_infix ~affix:"\"transient_count\"" j);
   ignore (Format.asprintf "%a" Timeline.pp tl)
 
+let test_timeline_json_escaping () =
+  (* the timeline's strings are escaped exactly as the trace's own JSONL
+     escapes them: control bytes as \u escapes, UTF-8 copied through *)
+  let engine = "B\001GP\195\169" in
+  let at vtime loc kind = { Trace.vtime; seq = 0; engine; loc; kind } in
+  let injected = at 0. Trace.Net (Trace.Phase "events-injected") in
+  let tl =
+    Timeline.of_events
+      [
+        injected;
+        at 1. (Trace.Node 7)
+          (Trace.Status { status = "loop\"ed"; changed = true });
+        at 2. Trace.Net (Trace.Phase "final");
+      ]
+  in
+  let field = {|"engine":"B\u0001GP|} ^ "\195\169\"" in
+  let j = Timeline.to_json tl in
+  Alcotest.(check bool) "trace line has the field" true
+    (Astring.String.is_infix ~affix:field (Trace.to_json injected));
+  Alcotest.(check bool) "timeline writes the same field" true
+    (Astring.String.is_infix ~affix:field j);
+  Alcotest.(check bool) "window status escaped" true
+    (Astring.String.is_infix ~affix:{|"status":"loop\"ed"|} j)
+
 (* --- golden traces ------------------------------------------------------- *)
 
 let golden_dir () =
@@ -589,7 +593,6 @@ let () =
         [
           Alcotest.test_case "null" `Quick test_null_sink;
           Alcotest.test_case "memory" `Quick test_memory_sink;
-          Alcotest.test_case "bounded ring" `Quick test_ring_sink;
           Alcotest.test_case "stream" `Quick test_stream_sink;
         ] );
       ( "jsonl",
@@ -618,6 +621,8 @@ let () =
             test_differential_diamond;
           test_differential_generated;
           Alcotest.test_case "timeline shape" `Quick test_timeline_shape;
+          Alcotest.test_case "timeline JSON escaping" `Quick
+            test_timeline_json_escaping;
         ] );
       ("golden", [ Alcotest.test_case "diamond_plus traces" `Quick test_golden_traces ]);
     ]
