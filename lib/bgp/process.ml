@@ -4,7 +4,12 @@ type ('e, 'h) t = {
   adj_rib_in : 'e option array;
   rib_out : 'h option array;
   mutable best : 'e option;
+  mutable top : int;
 }
+
+(* [top] on an empty RIB, and when [select] must rescan *)
+let empty = -1
+let stale = -2
 
 let create self ~degree ~route =
   {
@@ -13,38 +18,71 @@ let create self ~degree ~route =
     adj_rib_in = Array.make degree None;
     rib_out = Array.make degree None;
     best = None;
+    top = empty;
   }
 
-let learn p ~slot e =
-  p.adj_rib_in.(slot) <-
-    (if Route.contains (p.route e) p.self then None else Some e)
+let beats p a b = Decision.better (p.route a) (p.route b)
 
-let withdraw p ~slot = p.adj_rib_in.(slot) <- None
+let withdraw p ~slot =
+  p.adj_rib_in.(slot) <- None;
+  if p.top = slot then p.top <- stale
+
+let learn p ~slot e =
+  if Route.contains (p.route e) p.self then withdraw p ~slot
+  else begin
+    (* only the new entry is compared with the cached best: [better] is a
+       total order over distinct next hops *)
+    (if p.top = empty then p.top <- slot
+     else if p.top >= 0 then
+       match p.adj_rib_in.(p.top) with
+       | Some b when p.top = slot -> if beats p b e then p.top <- stale
+       | Some b -> if beats p e b then p.top <- slot
+       | None -> ());
+    p.adj_rib_in.(slot) <- Some e
+  end
 
 let forget p ~slot =
-  p.adj_rib_in.(slot) <- None;
+  withdraw p ~slot;
   p.rib_out.(slot) <- None
 
 let clear p =
   Array.fill p.adj_rib_in 0 (Array.length p.adj_rib_in) None;
   Array.fill p.rib_out 0 (Array.length p.rib_out) None;
-  p.best <- None
+  p.best <- None;
+  p.top <- empty
+
+let purge p ~drop =
+  Array.iteri
+    (fun slot -> function
+      | Some e when drop e -> withdraw p ~slot
+      | Some _ | None -> ())
+    p.adj_rib_in
+
+let rec exists_from rib f i =
+  i < Array.length rib
+  && ((match rib.(i) with Some e -> f e | None -> false)
+     || exists_from rib f (i + 1))
+
+let exists p f = exists_from p.adj_rib_in f 0
 
 let select p =
-  Array.fold_left
-    (fun acc entry ->
-      match (entry, acc) with
-      | None, _ -> acc
-      | Some e, Some cur when not (Decision.better (p.route e) (p.route cur)) ->
-        acc
-      | Some _, _ -> entry)
-    None p.adj_rib_in
+  if p.top = stale then begin
+    p.top <- empty;
+    for i = 0 to Array.length p.adj_rib_in - 1 do
+      match p.adj_rib_in.(i) with
+      | Some e
+        when p.top = empty || beats p e (Option.get p.adj_rib_in.(p.top)) ->
+        p.top <- i
+      | Some _ | None -> ()
+    done
+  end;
+  if p.top = empty then None else p.adj_rib_in.(p.top)
 
 let next_hop p =
   match p.best with None -> None | Some e -> Route.learned_from (p.route e)
 
 let decide ?prefix p core best' =
-  if best' = p.best then false
+  if best' == p.best || best' = p.best then false
   else begin
     let old_next = next_hop p in
     let cause =
@@ -77,8 +115,7 @@ let alternate ?(admit = fun _ -> true) p ~score =
             match !pick with
             | Some cur
               when s > !pick_score
-                   || (s = !pick_score
-                      && not (Decision.better (p.route e) (p.route cur))) ->
+                   || (s = !pick_score && not (beats p e cur)) ->
               ()
             | Some _ | None ->
               pick := entry;

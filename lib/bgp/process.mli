@@ -21,9 +21,17 @@
     path that starts at that neighbour. Every scan over the RIB
     ({!select}, {!alternate}, engines' purges) has a result independent
     of slot order: {!Decision.better} is a total order over routes with
-    distinct next hops. *)
+    distinct next hops.
 
-type ('e, 'h) t = {
+    {b Select cache.} [top] is the slot of the best Adj-RIB-In entry, [-1]
+    on an empty RIB, or [-2] when {!select} must rescan. Every RIB write
+    goes through this module (a lint rule keeps it so): {!learn} compares
+    only the new entry with the cached best, and the cache goes stale only
+    when the best's slot is withdrawn, forgotten, purged or replaced by a
+    worse route. [better] being total over distinct next hops, a cached
+    {!select} returns what a rescan would. *)
+
+type ('e, 'h) t = private {
   self : Topology.vertex;  (** the router running the process *)
   route : 'e -> Route.t;  (** an entry's route *)
   adj_rib_in : 'e option array;
@@ -32,6 +40,7 @@ type ('e, 'h) t = {
       (** by slot: what that neighbour last heard (see
           {!Session_core.advertise}) *)
   mutable best : 'e option;
+  mutable top : int;  (** the select cache *)
 }
 
 val create :
@@ -55,17 +64,25 @@ val forget : ('e, 'h) t -> slot:int -> unit
 val clear : ('e, 'h) t -> unit
 (** Node failure: empty both RIBs and lose the best route. *)
 
+val purge : ('e, 'h) t -> drop:('e -> bool) -> unit
+(** Withdraw every Adj-RIB-In entry satisfying [drop] (R-BGP's root-cause
+    purge). *)
+
+val exists : ('e, 'h) t -> ('e -> bool) -> bool
+(** Whether some Adj-RIB-In entry satisfies the predicate. *)
+
 (** {1 Decision} *)
 
 val select : ('e, 'h) t -> 'e option
 (** The Adj-RIB-In entry whose route is best by {!Decision.better};
     [None] on an empty RIB. Entries come from distinct neighbours, so the
-    result does not depend on slot order. *)
+    result does not depend on slot order. The result is the stored
+    option itself: an unchanged best is physically the last one. *)
 
 val decide :
   ?prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool
 (** [decide p core best'] installs [best'] when it differs structurally
-    from the current best, reports the change with
+    from the current best (tested physically first), reports the change with
     {!Session_core.note_decision} (cause ["route-loss"],
     ["route-learned"] or ["route-change"], after [prefix]) and returns
     whether it changed. *)

@@ -6,6 +6,17 @@ type body =
 
 type msg = { color : Color.t; body : body }
 
+(* The router-wide facts the selective-announcement plan reads. They do not
+   change while one router advertises (sending only schedules), so an
+   advertisement round computes them once for every neighbour. *)
+type plan = {
+  locked_to : Topology.vertex;
+      (** the designated provider when the router holds a locked blue
+          route, else -1 *)
+  single_homed : bool;  (** exactly one alive provider *)
+  same_next_hop : bool;  (** both colours' best routes share a next hop *)
+}
+
 type router = {
   v : Topology.vertex;
   procs : (entry, Topology.vertex list * bool) Process.t array;
@@ -15,6 +26,7 @@ type router = {
       (** per colour: our next updates are consequences of a route loss
           (ET=0) *)
   export_deny : bool array;  (** by slot *)
+  mutable last_plan : plan;  (** the plan of the last full round *)
 }
 
 type t = {
@@ -31,10 +43,7 @@ let proc r color = r.procs.(Color.to_int color)
 (* --- selective announcement ----------------------------------------- *)
 
 let blue_lock_held t r =
-  r.v = t.dest
-  || Array.exists
-       (function Some (e : entry) -> e.lock | None -> false)
-       (proc r Color.Blue).adj_rib_in
+  r.v = t.dest || Process.exists (proc r Color.Blue) (fun e -> e.lock)
 
 (* The provider the locked blue route must be re-announced to: the first
    alive provider in the AS's coloring preference order; -1 when none. *)
@@ -53,17 +62,6 @@ let alive_provider_count t r =
     0
     (Topology.providers t.topo r.v)
 
-(* The router-wide facts the selective-announcement plan reads. They do not
-   change while one router advertises (sending only schedules), so an
-   advertisement round computes them once for every neighbour. *)
-type plan = {
-  locked_to : Topology.vertex;
-      (** the designated provider when the router holds a locked blue
-          route, else -1 *)
-  single_homed : bool;  (** exactly one alive provider *)
-  same_next_hop : bool;  (** both colours' best routes share a next hop *)
-}
-
 let plan t r =
   {
     locked_to = (if blue_lock_held t r then designated_provider t r else -1);
@@ -72,9 +70,9 @@ let plan t r =
       Process.next_hop (proc r Red) = Process.next_hop (proc r Blue);
   }
 
-(* What should neighbour [n] (relationship [to_rel]) currently hear from
-   [r] on process [color]? The (path, lock) announcement, or None for
-   nothing/withdraw. *)
+(* Should neighbour [n] (relationship [to_rel]) currently hear [r]'s route
+   on process [color]? [Some lock] for an announcement with that lock bit,
+   None for nothing/withdraw. The options are constants: no allocation. *)
 let desired t r plan n to_rel color =
   (* the plan: announce the colour's valley-free path, with this lock bit *)
   let lock =
@@ -112,44 +110,59 @@ let desired t r plan n to_rel color =
     end
   in
   match lock with
-  | None -> None
-  | Some lock -> begin
-    match Process.export (proc r color) ~to_:n ~to_rel with
-    | Some path -> Some (path, lock)
-    | None -> None
-  end
+  | Some _ when Process.exportable (proc r color) ~to_:n ~to_rel -> lock
+  | Some _ | None -> None
 
-(* Advertise to the neighbour in slot [i] under a given plan. *)
+(* Advertise to the neighbour in slot [i] under a given plan; returns
+   before allocating when it already heard [r.v :: as_path] as it should. *)
 let rec advertise_planned t r plan i color =
   let c = Color.to_int color in
-  let want =
-    if r.export_deny.(i) then None
-    else
-      let n, to_rel = (Topology.neighbors t.topo r.v).(i) in
-      desired t r plan n to_rel color
+  let p = r.procs.(c) in
+  let n, to_rel = (Topology.neighbors t.topo r.v).(i) in
+  let lock =
+    if r.export_deny.(i) then None else desired t r plan n to_rel color
   in
-  Session_core.advertise t.core ~proc:c ~src:r.v ~slot:i
-    ~rib_out:r.procs.(c).rib_out ~desired:want
-    ~announce:(fun (path, lock) ->
-      {
-        color;
-        body = Announce { path; lock; et_ok = not r.loss_pending.(c) };
-      })
-    ~withdraw:(fun () ->
-      { color; body = Withdraw { et_ok = not r.loss_pending.(c) } })
-    ~retry:(fun () -> advertise_to t r i color)
+  match (lock, p.rib_out.(i), p.best) with
+  | None, None, _ -> ()
+  | Some lock, Some (_ :: heard, lock'), Some b
+    when lock = lock' && heard = b.route.as_path ->
     ()
+  | _ ->
+    Session_core.advertise t.core ~proc:c ~src:r.v ~slot:i ~rib_out:p.rib_out
+      ~desired:
+        (match (lock, Process.export p ~to_:n ~to_rel) with
+        | Some lock, Some path -> Some (path, lock)
+        | _ -> None)
+      ~announce:(fun (path, lock) ->
+        {
+          color;
+          body = Announce { path; lock; et_ok = not r.loss_pending.(c) };
+        })
+      ~withdraw:(fun () ->
+        { color; body = Withdraw { et_ok = not r.loss_pending.(c) } })
+      ~retry:(fun () -> advertise_to t r i color)
+      ()
 
 and advertise_to t r i color = advertise_planned t r (plan t r) i color
 
 (* Both colours to every neighbour, in slot then {!Color.all} order, under
-   one plan. *)
-let advertise_all t r =
-  let plan = plan t r in
+   one plan: every slot on a [full] round, otherwise only the slots whose
+   MRAI flush is pending (see [receive]). *)
+let advertise_slot t r plan ~full i color =
+  if
+    full
+    || Session_core.flush_pending t.core ~proc:(Color.to_int color) ~src:r.v
+         ~slot:i
+  then advertise_planned t r plan i color
+
+let advertise_round t r plan ~full =
+  if full then r.last_plan <- plan;
   for i = 0 to Topology.degree t.topo r.v - 1 do
-    advertise_planned t r plan i Red;
-    advertise_planned t r plan i Blue
+    advertise_slot t r plan ~full i Red;
+    advertise_slot t r plan ~full i Blue
   done
+
+let advertise_all t r = advertise_round t r (plan t r) ~full:true
 
 (* --- decision -------------------------------------------------------- *)
 
@@ -161,10 +174,9 @@ let origin_entry color =
 
 let cause_prefix = function Color.Red -> "red:" | Color.Blue -> "blue:"
 
-(* Recompute one process's best; [loss] says whether the triggering event
-   was a route loss (drives the ET attribute and the instability flag).
-   Any rib change can alter the provider plan of both colours, so the
-   caller re-advertises everything afterwards. *)
+(* Recompute one process's best and return whether it changed; [loss] says
+   whether the triggering event was a route loss (drives the ET attribute
+   and the instability flag). The caller re-advertises afterwards. *)
 let recompute t r color ~loss =
   let c = Color.to_int color in
   let p = r.procs.(c) in
@@ -173,7 +185,8 @@ let recompute t r color ~loss =
   in
   (* the decision's dirty mark of [r.v] also covers the [unstable] flip
      below *)
-  if Process.decide ~prefix:(cause_prefix color) p t.core best' then begin
+  let changed = Process.decide ~prefix:(cause_prefix color) p t.core best' in
+  if changed then begin
     let was_unstable = r.unstable.(c) in
     r.unstable.(c) <- loss;
     r.loss_pending.(c) <- loss;
@@ -182,7 +195,8 @@ let recompute t r color ~loss =
     if loss <> was_unstable && Session_core.trace_enabled t.core then
       Session_core.emit_node t.core r.v
         (Trace.Recolor { color = Color.to_string color; et_ok = not loss })
-  end
+  end;
+  changed
 
 let receive t r ~slot { color; body } =
   if Session_core.node_up t.core r.v then begin
@@ -201,8 +215,13 @@ let receive t r ~slot { color; body } =
       let cls = snd (Topology.neighbors t.topo r.v).(slot) in
       Process.learn p ~slot { route = { as_path = path; cls }; lock }
     | Withdraw _ -> Process.withdraw p ~slot);
-    recompute t r color ~loss;
-    advertise_all t r
+    let changed = recompute t r color ~loss in
+    (* A round reads the plan and both best routes. While neither moves,
+       only slots with a pending MRAI flush can do anything (DESIGN.md,
+       "Skipped STAMP rounds"); the plan moves without a decision on a
+       locked blue entry that is not best, or inside a detection window. *)
+    let plan = plan t r in
+    advertise_round t r plan ~full:(changed || plan <> r.last_plan)
   end
 
 (* --- forwarding ------------------------------------------------------- *)
@@ -269,6 +288,9 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(detect_delay = 0.)
           unstable = Array.make 2 false;
           loss_pending = Array.make 2 false;
           export_deny = Array.make degree false;
+          (* no round yet: a locked_to of -2 matches no plan *)
+          last_plan =
+            { locked_to = -2; single_homed = false; same_next_hop = false };
         })
   in
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
@@ -285,7 +307,8 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(detect_delay = 0.)
 
 let start t =
   let r = t.routers.(t.dest) in
-  List.iter (fun color -> recompute t r color ~loss:false) Color.all;
+  List.iter (fun color -> ignore (recompute t r color ~loss:false : bool))
+    Color.all;
   advertise_all t r
 
 (* --- failures ---------------------------------------------------------- *)
@@ -301,7 +324,7 @@ let reset_session t r peer ~failure =
       let p = proc r color in
       let loss = failure && Process.next_hop p = Some peer in
       Process.forget p ~slot;
-      recompute t r color ~loss)
+      ignore (recompute t r color ~loss : bool))
     Color.all;
   advertise_all t r
 
@@ -333,7 +356,7 @@ let recover_node t v =
       Process.clear r.procs.(c);
       r.unstable.(c) <- false;
       r.loss_pending.(c) <- false;
-      recompute t r color ~loss:false)
+      ignore (recompute t r color ~loss:false : bool))
     Color.all;
   advertise_all t r;
   (* neighbours re-run the selective-announcement plan — in particular the

@@ -199,6 +199,10 @@ let advertise core ?(proc = 0) ~src ~slot ~rib_out ~desired ~announce
       end
   end
 
+let flush_pending core ~proc ~src ~slot =
+  let edge = Topology.first_edge core.topo src + slot in
+  Mrai.flush_scheduled core.mrais.((edge * core.procs) + proc)
+
 let slot core ~op u v =
   let i = Topology.slot core.topo u v in
   if i < 0 then
@@ -218,7 +222,8 @@ let fail_link core u v ~react =
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
-  mark_all_fwd core;
+  mark_fwd core u;
+  mark_fwd core v;
   trace_link core u v Trace.Session_reset;
   if core.detect_delay = 0. then react ()
   else
@@ -231,7 +236,8 @@ let fail_link core u v ~react =
 let recover_link core u v ~react =
   ignore (next_gen core ~op:"recover_link" u v : int);
   Link_state.recover_link core.links u v;
-  mark_all_fwd core;
+  mark_fwd core u;
+  mark_fwd core v;
   trace_link core u v Trace.Session_up;
   react ()
 

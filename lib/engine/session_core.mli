@@ -97,6 +97,12 @@ val advertise :
     advertise path (so the desired value is recomputed when the flush
     fires). No-op while the link is down. *)
 
+val flush_pending :
+  'msg t -> proc:int -> src:Topology.vertex -> slot:int -> bool
+(** Whether a deferred MRAI flush is scheduled for the neighbour in
+    [src]'s [slot] and process [proc]: where a repeated {!advertise} with
+    an unchanged [desired] value can still do something. *)
+
 (** {1 Failure bookkeeping} *)
 
 val fail_link :
@@ -153,11 +159,12 @@ val last_change : 'msg t -> float
       with it STAMP's [unstable] flips and start colour and R-BGP's
       withdrawn route, which change only in the same decision step at the
       same vertex.
-    - The core marks every vertex in {!fail_link} (at the failure
-      instant), {!recover_link}, {!fail_node} and {!recover_node}: a step
-      reads the {!links} overlay at its own vertex and, for R-BGP's pinned
-      failover paths, along whole paths. These events are rare. Writes to
-      the overlay go through this module only.
+    - The core marks both endpoints in {!fail_link} (at the failure
+      instant) and {!recover_link}, and every vertex in {!fail_node} and
+      {!recover_node}: a step reads the {!links} overlay at its own
+      vertex. R-BGP's pinned failover paths read links along whole paths,
+      so R-BGP marks every vertex ({!mark_all_fwd}) at its own link
+      events. Writes to the overlay go through this module only.
     - Engines mark the vertex for any other forwarding input they keep:
       the hybrid's backup route, R-BGP's failover RIB, and R-BGP's RCI
       purge of its failover RIB and withdrawn route. This includes writes
@@ -185,6 +192,9 @@ val on_forward :
 val mark_fwd : 'msg t -> Topology.vertex -> unit
 (** [mark_fwd core v]: [v]'s forwarding step or start state may have
     changed; the next {!probe} re-steps it. *)
+
+val mark_all_fwd : 'msg t -> unit
+(** Every vertex's step may have changed. *)
 
 val probe : 'msg t -> Fwd_walk.status array
 (** Forwarding-plane status of every AS right now, walking only the

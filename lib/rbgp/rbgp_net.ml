@@ -128,26 +128,30 @@ let advertise_all t r =
 
 (* --- RCI purge ------------------------------------------------------- *)
 
+(* Whether the cause was new and purged the RIBs. *)
 let learn_cause t r cause =
-  if t.rci && not (List.exists (cause_equal cause) r.known_causes) then begin
+  r.last_cause <- Some cause;
+  let fresh = t.rci && not (List.exists (cause_equal cause) r.known_causes) in
+  if fresh then begin
     r.known_causes <- cause :: r.known_causes;
-    let purge rib path =
-      Array.iteri
-        (fun i x ->
-          match x with
-          | Some x when path_hits_cause (path x) cause -> rib.(i) <- None
-          | Some _ | None -> ())
-        rib
-    in
-    purge r.proc.adj_rib_in (fun (rt : Route.t) -> rt.as_path);
+    Process.purge r.proc ~drop:(fun rt -> path_hits_cause rt.as_path cause);
     Session_core.mark_fwd t.core r.proc.self;
-    purge r.failover_rib Fun.id;
+    Array.iteri
+      (fun i -> function
+        | Some path when path_hits_cause path cause ->
+          r.failover_rib.(i) <- None
+        | Some _ | None -> ())
+      r.failover_rib;
     (match r.withdrawn with
     | Some (w : Route.t) when path_hits_cause w.as_path cause ->
       r.withdrawn <- None
     | Some _ | None -> ())
   end;
-  r.last_cause <- Some cause
+  fresh
+
+(* Whether a received path runs through a known root cause. *)
+let stale t r path =
+  t.rci && List.exists (fun c -> path_hits_cause path c) r.known_causes
 
 let recompute t r =
   let p = r.proc in
@@ -168,30 +172,24 @@ let receive t r ~slot msg =
       match msg with
       | Announce { rci; _ } | Withdraw { rci } | Failover { rci; _ } -> rci
     in
-    (match rci with Some c -> learn_cause t r c | None -> ());
-    (match msg with
-    | Announce { path; _ } ->
-      let stale =
-        t.rci && List.exists (fun c -> path_hits_cause path c) r.known_causes
-      in
-      if stale then Process.withdraw r.proc ~slot
-      else
-        Process.learn r.proc ~slot
-          {
-            as_path = path;
-            cls = snd (Topology.neighbors t.topo r.proc.self).(slot);
-          }
-    | Withdraw _ -> Process.withdraw r.proc ~slot
-    | Failover { path = None; _ } ->
+    let purged = match rci with Some c -> learn_cause t r c | None -> false in
+    match msg with
+    | Announce { path; _ } when not (stale t r path) ->
+      let cls = snd (Topology.neighbors t.topo r.proc.self).(slot) in
+      Process.learn r.proc ~slot { as_path = path; cls };
+      recompute t r
+    | Announce _ | Withdraw _ ->
+      Process.withdraw r.proc ~slot;
+      recompute t r
+    | Failover { path; _ } ->
       Session_core.mark_fwd t.core r.proc.self;
-      r.failover_rib.(slot) <- None
-    | Failover { path = Some p; _ } ->
-      Session_core.mark_fwd t.core r.proc.self;
-      let stale =
-        t.rci && List.exists (fun c -> path_hits_cause p c) r.known_causes
-      in
-      r.failover_rib.(slot) <- (if stale then None else Some p));
-    recompute t r
+      r.failover_rib.(slot) <-
+        (match path with Some p when not (stale t r p) -> path | _ -> None);
+      (* the failover pick reads the primary RIB, the best route and the
+         export policy, none of which a failover path moves: only a purge
+         can, or a decision still owed for a route that a recovery inside
+         the detection window forgot (see [recover_link]) *)
+      if purged || Process.select r.proc != r.proc.best then recompute t r
   end
 
 (* --- forwarding ------------------------------------------------------- *)
@@ -302,21 +300,23 @@ let clear_cause t cause =
       | Some _ | None -> ())
     t.routers
 
+(* A pinned failover path reads links far from its owner: a link event
+   marks every vertex. *)
 let fail_link t u v =
+  Session_core.mark_all_fwd t.core;
   Session_core.fail_link t.core u v ~react:(fun () ->
       drop_session t u v;
       let cause = Link (u, v) in
       (* adjacent ASes know the root cause by local detection, with or
-         without the RCI protocol extension; [learn_cause] only purges under
-         RCI *)
-      t.routers.(u).last_cause <- Some cause;
-      t.routers.(v).last_cause <- Some cause;
-      learn_cause t t.routers.(u) cause;
-      learn_cause t t.routers.(v) cause;
+         without the RCI protocol extension: [learn_cause] records it in
+         [last_cause] and purges only under RCI *)
+      ignore (learn_cause t t.routers.(u) cause : bool);
+      ignore (learn_cause t t.routers.(v) cause : bool);
       recompute t t.routers.(u);
       recompute t t.routers.(v))
 
 let recover_link t u v =
+  Session_core.mark_all_fwd t.core;
   Session_core.recover_link t.core u v ~react:(fun () ->
       drop_session t u v;
       clear_cause t (Link (u, v));
@@ -336,7 +336,7 @@ let fail_node t v =
     (fun (n, _) ->
       let rn = t.routers.(n) in
       reset_session t rn v;
-      learn_cause t rn cause;
+      ignore (learn_cause t rn cause : bool);
       recompute t rn)
     (Topology.neighbors t.topo v)
 

@@ -117,6 +117,17 @@ let rules =
       allowed = contains_fragment [ "bgp/process.ml" ];
       why = "install best routes with Process.decide";
     };
+    (* Process caches the slot of the best Adj-RIB-In entry, and the
+       cache is exact only if every write to the RIB goes through
+       Process (learn, withdraw, forget, clear, purge); engines read it
+       through Process helpers too. *)
+    {
+      name = "Adj-RIB-In written only inside Process";
+      patterns = [ "adj_rib_in" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "bgp/process.ml" ];
+      why = "go through Process (learn/withdraw/forget/clear/purge/exists)";
+    };
     (* Engines probe the forwarding plane through Session_core, whose
        dirty set decides what a probe re-walks; an engine walking on its
        own would bypass the marks (and the test that checks them). *)

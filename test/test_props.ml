@@ -71,6 +71,71 @@ let prop_process_select_is_decision_select =
       Process.select p
       = Decision.select (List.filter_map Fun.id (Array.to_list p.adj_rib_in)))
 
+(* The select cache under every kind of RIB write. Slot [i] belongs to
+   neighbour [20 - i] (slot order is the reverse of next-hop order), and
+   the process runs at vertex 99: a learned path that contains 99 is an
+   implicit withdrawal. A learn into the best's slot may bring a worse
+   route. [select] runs after some operations only, so the cache also
+   meets writes while it is stale. *)
+type rib_op =
+  | Learn of int * Route.t
+  | Withdraw of int
+  | Forget of int
+  | Clear
+  | Purge of Topology.vertex  (** drop every route through this vertex *)
+
+let print_rib_op = function
+  | Learn (slot, r) -> Printf.sprintf "learn %d %s" slot (print_route r)
+  | Withdraw slot -> Printf.sprintf "withdraw %d" slot
+  | Forget slot -> Printf.sprintf "forget %d" slot
+  | Clear -> "clear"
+  | Purge x -> Printf.sprintf "purge %d" x
+
+let gen_rib_ops =
+  QCheck2.Gen.(
+    let* degree = int_range 1 6 in
+    let gen_op =
+      let* slot = int_range 0 (degree - 1) in
+      frequency
+        [
+          ( 8,
+            let* cls = oneofl Relationship.[ Customer; Peer; Provider ]
+            and* rest = list_size (int_range 0 3) (int_range 0 8)
+            and* loop = frequencyl [ (5, []); (1, [ 99 ]) ] in
+            let as_path = ((20 - slot) :: rest) @ loop in
+            return (Learn (slot, { Route.as_path; cls })) );
+          (2, return (Withdraw slot));
+          (1, return (Forget slot));
+          (1, return Clear);
+          (1, map (fun x -> Purge x) (int_range 0 8));
+        ]
+    in
+    let* ops = list_size (int_range 0 40) (pair gen_op bool) in
+    return (degree, ops))
+
+let prop_select_cache =
+  Test_support.qtest ~count:300
+    "process: cached select = Decision.select after any RIB write"
+    gen_rib_ops
+    QCheck2.Print.(pair int (list (pair print_rib_op bool)))
+    (fun (degree, ops) ->
+      let p = Process.create 99 ~degree ~route:Fun.id in
+      let agrees () =
+        Process.select p
+        = Decision.select (List.filter_map Fun.id (Array.to_list p.adj_rib_in))
+      in
+      List.for_all
+        (fun (op, check) ->
+          (match op with
+          | Learn (slot, r) -> Process.learn p ~slot r
+          | Withdraw slot -> Process.withdraw p ~slot
+          | Forget slot -> Process.forget p ~slot
+          | Clear -> Process.clear p
+          | Purge x -> Process.purge p ~drop:(fun r -> Route.contains r x));
+          (not check) || agrees ())
+        ops
+      && agrees ())
+
 (* --- Export policy ------------------------------------------------------ *)
 
 let all_rels = [ Relationship.Customer; Relationship.Peer; Relationship.Provider ]
@@ -205,6 +270,7 @@ let () =
           prop_decision_transitive;
           prop_select_returns_maximum;
           prop_process_select_is_decision_select;
+          prop_select_cache;
         ] );
       ( "export",
         [

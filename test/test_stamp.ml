@@ -280,6 +280,96 @@ let test_instability_flag_set_and_cleared () =
     Alcotest.(check bool) "route restored" true
       (Stamp_net.best net c p1 <> None)
 
+(* --- When a router may skip its advertisement round ------------------- *)
+
+(* A router re-runs its full advertisement round after a receipt only when
+   a decision changed or its selective-announcement plan moved. Both tests
+   build a receipt that moves the plan alone. Providers are drawn above
+   their customers:
+
+       6 ---- 7        r's providers, peers of each other
+        \    /
+         r 4 ===== 3   r's sibling
+          |        |
+          5        |   3 peers with 2
+          |        |
+          2 -------+
+          |
+          1            the destination
+
+   r's blue best comes from its sibling 3 ([3; 2; 1], customer-grade
+   preference, lowest next hop). The locked blue chain 1 -> 2 -> 5 reaches
+   r as [5; 2; 1]: the same preference and length, a higher next hop, so
+   it is held but never best. *)
+let skip_rule_topology () =
+  let b = Topology.Builder.create () in
+  Topology.Builder.add_p2c b ~provider:2 ~customer:1;
+  Topology.Builder.add_p2p b 2 3;
+  Topology.Builder.add_sibling b 3 4;
+  Topology.Builder.add_p2c b ~provider:5 ~customer:2;
+  Topology.Builder.add_p2c b ~provider:4 ~customer:5;
+  Topology.Builder.add_p2c b ~provider:6 ~customer:4;
+  Topology.Builder.add_p2c b ~provider:7 ~customer:4;
+  Topology.Builder.add_p2p b 6 7;
+  Topology.Builder.build b
+
+let skip_rule_net ?detect_delay t =
+  let dest = vtx t 1 in
+  let coloring = Coloring.create Coloring.Random_choice ~seed:7 t ~dest in
+  let sim = Sim.create ~seed:7 () in
+  (sim, coloring, Stamp_net.create sim t ~dest ~coloring ?detect_delay ())
+
+let blue_from_sibling t net =
+  Alcotest.(check (option int)) "r's blue best comes from its sibling"
+    (Some (vtx t 3))
+    (Option.bind (Stamp_net.best net Color.Blue (vtx t 4)) Route.learned_from)
+
+let locked_to t net =
+  List.filter_map
+    (fun (n, lock) -> if lock then Some (Topology.asn t n) else None)
+    (Stamp_net.announced net Color.Blue (vtx t 4))
+
+(* (a) The locked entry arrives last and changes no decision, only
+   whether r holds a lock: r must still announce Lock upward. *)
+let test_skip_rule_lock_held () =
+  let t = skip_rule_topology () in
+  let sim, coloring, net = skip_rule_net t in
+  let r = vtx t 4 in
+  Stamp_net.deny_export net (vtx t 5) r;
+  Stamp_net.start net;
+  Sim.run sim;
+  blue_from_sibling t net;
+  Alcotest.(check (list int)) "no lock held, none announced" []
+    (locked_to t net);
+  Stamp_net.allow_export net (vtx t 5) r;
+  Sim.run sim;
+  blue_from_sibling t net;
+  Alcotest.(check (list int)) "Lock goes to the designated provider"
+    [ Topology.asn t (Coloring.preference coloring r).(0) ]
+    (locked_to t net)
+
+(* (b) The designated provider's link fails; before the detection delay
+   runs out, r receives a withdrawal that changes no decision. The round
+   must run under the new plan, which designates the other provider. *)
+let test_skip_rule_detection_window () =
+  let t = skip_rule_topology () in
+  let sim, coloring, net = skip_rule_net ~detect_delay:1.0 t in
+  let r = vtx t 4 in
+  Stamp_net.start net;
+  Sim.run sim;
+  let prefs = Coloring.preference coloring r in
+  let designated = prefs.(0) and other = prefs.(1) in
+  blue_from_sibling t net;
+  Alcotest.(check (list int)) "Lock to the first provider"
+    [ Topology.asn t designated ] (locked_to t net);
+  Stamp_net.fail_link net r designated;
+  Stamp_net.deny_export net other r;
+  Sim.run ~until:(Sim.now sim +. 0.5) sim;
+  blue_from_sibling t net;
+  Alcotest.(check (list int)) "Lock moves before the failure is detected"
+    (List.sort compare [ Topology.asn t designated; Topology.asn t other ])
+    (List.sort compare (locked_to t net))
+
 (* Deterministic aggregate (individual instances are too noisy for a
    random property): on a fixed 200-AS topology and eight single-link
    scenarios, STAMP's total transient count stays below BGP's. *)
@@ -445,6 +535,13 @@ let () =
           Alcotest.test_case "message overhead < 2x BGP" `Quick
             test_message_overhead_below_twice_bgp;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+        ] );
+      ( "skip-rule",
+        [
+          Alcotest.test_case "lock held without a decision" `Quick
+            test_skip_rule_lock_held;
+          Alcotest.test_case "plan moved in the detection window" `Quick
+            test_skip_rule_detection_window;
         ] );
       ( "phi",
         [
