@@ -19,10 +19,11 @@ type acc = {
   mutable blackholed : int;
 }
 
-let observe sim ?(interval = 0.02) ?(bucket = 1.0) ?(max_events = 50_000_000)
+(* Bucket width in seconds. *)
+let bucket = 1.0
+
+let observe sim ?(interval = 0.02) ?(max_events = 50_000_000)
     ?(max_vtime = infinity) ~probe () =
-  if interval <= 0. || bucket <= 0. then
-    invalid_arg "Traffic.observe: non-positive interval or bucket";
   let t0 = Sim.now sim in
   let table : (int, acc) Hashtbl.t = Hashtbl.create 64 in
   let loss_events = ref 0 in

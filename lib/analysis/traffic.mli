@@ -26,7 +26,6 @@ type summary = {
 val observe :
   Sim.t ->
   ?interval:float ->
-  ?bucket:float ->
   ?max_events:int ->
   ?max_vtime:float ->
   probe:(unit -> Fwd_walk.status array) ->
@@ -34,7 +33,9 @@ val observe :
   summary
 (** Drive the simulation to convergence through {!Transient.watch},
     probing every [interval] (default 0.02 s) and aggregating the per-AS
-    statuses of every checkpoint, the final one included, into buckets of
-    [bucket] seconds (default 1 s). [max_events] (default 50 million) and
-    [max_vtime] (default unbounded) bound the loop; when a budget hits, the
-    partial summary is returned with the matching {!Sim.verdict}. *)
+    statuses of every checkpoint, the final one included, into 1 s
+    buckets. [max_events] (default 50 million) and [max_vtime] (default
+    unbounded) bound the loop; when a budget hits, the partial summary is
+    returned with the matching {!Sim.verdict}.
+    @raise Invalid_argument on a non-positive [interval]
+    ({!Transient.watch}'s check). *)

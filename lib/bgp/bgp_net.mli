@@ -1,10 +1,10 @@
 (** Event-driven standard-BGP network for a single destination prefix,
     optionally with STAMP partially deployed.
 
-    One router per AS, each running one {!Process}; one ordered {!Channel}
-    per directed link, delays uniform in [10 ms, 20 ms], per-peer MRAI of
-    30 s × U[0.75, 1.0] applied to announcements (withdrawals are
-    immediate). Policies are the paper's: prefer-customer selection
+    One router per AS, each running one {!Process}; one FIFO session per
+    directed link ({!Session_core}), delays uniform in [10 ms, 20 ms],
+    per-peer MRAI of 30 s × U[0.75, 1.0] applied to announcements
+    (withdrawals are immediate). Policies are the paper's: prefer-customer selection
     ({!Decision}) and valley-free export ({!Export}), which make the
     protocol safe (Gao–Rexford), so every run terminates with a drained
     event queue.

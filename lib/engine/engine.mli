@@ -28,7 +28,7 @@ type config = {
 val default_config : config
 (** The paper's parameters: seed 0, MRAI 30 s, instantaneous failure
     detection, no tracing. Message delays are always the paper's
-    U[10 ms, 20 ms] ({!Channel.create}'s defaults). *)
+    U[10 ms, 20 ms] (fixed in {!Session_core}). *)
 
 (** The engine lifecycle. All failure/recovery and policy operations take
     effect at the current simulation time. *)

@@ -7,8 +7,12 @@ type 'msg t = {
   detect_delay : float;
   trace : Trace.sink;
   procs : int;
-  mutable chans : 'msg Channel.t array;  (* by directed edge id; set once *)
-  mutable mrais : Mrai.t array;  (* by edge id * procs + process; set once *)
+  last_delivery : Float.Array.t;
+      (* by directed edge id: when the edge's latest message arrives *)
+  peer_slot : int array;  (* by edge id: the sender's slot at the receiver *)
+  mrai_interval : Float.Array.t;  (* by edge id * procs + process *)
+  mrai_next : Float.Array.t;  (* same index: next announcement allowed *)
+  flush_scheduled : Bytes.t;  (* same index: '\001' while a flush pends *)
   link_gen : int array;
       (* by the edge id of a link's lower-to-higher direction: bumped at
          every failure and recovery of the link *)
@@ -45,51 +49,55 @@ let deliver core u v ~slot msg =
     core.counters.lost_to_resets <- core.counters.lost_to_resets + 1
   end
 
-let create ?(mrai_base = 30.) ?(detect_delay = 0.) ?(procs = 1)
-    ?(trace = Trace.null) ~who sim topo =
+(* The paper's per-message delay (processing plus transmission). *)
+let delay_lo = 0.010
+let delay_hi = 0.020
+
+let create ~mrai_base ~detect_delay ?(procs = 1) ~trace ~who sim topo =
   if detect_delay < 0. || Float.is_nan detect_delay then
     invalid_arg (who ^ ".create: negative detect delay");
+  if mrai_base < 0. || Float.is_nan mrai_base then
+    invalid_arg (who ^ ".create: negative MRAI base");
   if procs < 1 then invalid_arg (who ^ ".create: non-positive process count");
   let edges = Topology.num_edges topo in
-  let core =
-    {
-      sim;
-      topo;
-      who;
-      links = Link_state.create topo;
-      counters = Counters.make ();
-      detect_delay;
-      trace;
-      procs;
-      chans = [||];
-      mrais = [||];
-      link_gen = Array.make edges 0;
-      last_change = 0.;
-      fwd = None;
-      handler =
-        (fun ~src:_ ~dst:_ ~slot:_ _ ->
-          invalid_arg (who ^ ": Session_core receive handler not installed"));
-    }
-  in
-  (* One ordered channel per directed edge (vertices × neighbors is
-     increasing edge id), with the receiver-side slot found once here. *)
-  core.chans <-
-    Array.concat
-      (List.init (Topology.num_vertices topo) (fun u ->
-           Array.map
-             (fun (v, _) ->
-               Channel.create sim
-                 ~deliver:(deliver core u v ~slot:(Topology.slot topo v u)))
-             (Topology.neighbors topo u)));
-  (* [procs] MRAI timers per directed edge, by increasing edge id then
-     process. The order is part of the reproducibility contract: Mrai.create
-     draws one RNG float per timer (channels draw none), so any reordering
-     would shift every later draw and silently change all pinned experiment
+  let rng = Sim.rng sim in
+  (* One MRAI draw per timer, by increasing edge id then process: the
+     order is part of the reproducibility contract, since any reordering
+     would shift every later draw and change all pinned experiment
      numbers. *)
-  core.mrais <-
-    Array.init (edges * procs) (fun _ ->
-        Mrai.create (Sim.rng sim) ~base:mrai_base ());
-  core
+  let mrai_interval =
+    Float.Array.init (edges * procs) (fun _ ->
+        mrai_base *. (0.75 +. Random.State.float rng 0.25))
+  in
+  (* Edge ids follow vertices × neighbors order. *)
+  let peer_slot = Array.make edges 0 in
+  for u = 0 to Topology.num_vertices topo - 1 do
+    Array.iteri
+      (fun i (v, _) ->
+        peer_slot.(Topology.first_edge topo u + i) <- Topology.slot topo v u)
+      (Topology.neighbors topo u)
+  done;
+  {
+    sim;
+    topo;
+    who;
+    links = Link_state.create topo;
+    counters = Counters.make ();
+    detect_delay;
+    trace;
+    procs;
+    last_delivery = Float.Array.make edges 0.;
+    peer_slot;
+    mrai_interval;
+    mrai_next = Float.Array.make (edges * procs) 0.;
+    flush_scheduled = Bytes.make (edges * procs) '\000';
+    link_gen = Array.make edges 0;
+    last_change = 0.;
+    fwd = None;
+    handler =
+      (fun ~src:_ ~dst:_ ~slot:_ _ ->
+        invalid_arg (who ^ ": Session_core receive handler not installed"));
+  }
 
 let on_receive core handler = core.handler <- handler
 let links core = core.links
@@ -137,20 +145,30 @@ let note_decision core ~node ~old_next ~new_next ~cause =
            cause;
          })
 
+(* Schedule [msg]'s delivery after a fresh U[delay_lo, delay_hi] draw,
+   but never before the edge's previous message: sessions are FIFO. *)
 let send_edge core ~src ~dst ~edge ~kind msg =
   (match kind with
   | `Announce ->
     core.counters.announcements <- core.counters.announcements + 1
   | `Withdraw -> core.counters.withdrawals <- core.counters.withdrawals + 1);
-  let chan = core.chans.(edge) in
-  Channel.send chan msg;
+  let delay =
+    delay_lo +. Random.State.float (Sim.rng core.sim) (delay_hi -. delay_lo)
+  in
+  let at =
+    Float.max (Sim.now core.sim +. delay)
+      (Float.Array.get core.last_delivery edge +. 1e-9)
+  in
+  Float.Array.set core.last_delivery edge at;
+  let slot = core.peer_slot.(edge) in
+  Sim.schedule_at core.sim ~time:at (fun _ -> deliver core src dst ~slot msg);
   if Trace.enabled core.trace then
     trace_link core src dst
       (Trace.Enqueue
          {
            msg = (match kind with `Announce -> Trace.Announce
                                 | `Withdraw -> Trace.Withdraw);
-           deliver_at = Channel.last_delivery chan;
+           deliver_at = at;
          })
 
 let send core ~src ~slot ~kind msg =
@@ -176,22 +194,23 @@ let advertise core ?(proc = 0) ~src ~slot ~rib_out ~desired ~announce
       send_edge core ~src ~dst ~edge ~kind:`Withdraw (withdraw ())
     | Some p, Some p' when p = p' -> ()
     | Some p, (Some _ | None) ->
-      let m = core.mrais.((edge * core.procs) + proc) in
+      let m = (edge * core.procs) + proc in
       let now = Sim.now core.sim in
-      if Mrai.ready m ~now then begin
-        Mrai.note_sent m ~now;
+      let next = Float.Array.get core.mrai_next m in
+      if now >= next then begin
+        Float.Array.set core.mrai_next m
+          (now +. Float.Array.get core.mrai_interval m);
         rib_out.(slot) <- desired;
         send_edge core ~src ~dst ~edge ~kind:`Announce (announce p)
       end
       else begin
         core.counters.mrai_deferrals <- core.counters.mrai_deferrals + 1;
         if Trace.enabled core.trace then
-          trace_link core src dst
-            (Trace.Mrai_defer { until = Mrai.next_allowed m; proc });
-        if not (Mrai.flush_scheduled m) then begin
-          Mrai.set_flush_scheduled m true;
-          Sim.schedule_at core.sim ~time:(Mrai.next_allowed m) (fun _ ->
-              Mrai.set_flush_scheduled m false;
+          trace_link core src dst (Trace.Mrai_defer { until = next; proc });
+        if Bytes.get core.flush_scheduled m = '\000' then begin
+          Bytes.set core.flush_scheduled m '\001';
+          Sim.schedule_at core.sim ~time:next (fun _ ->
+              Bytes.set core.flush_scheduled m '\000';
               if Trace.enabled core.trace then
                 trace_link core src dst (Trace.Mrai_flush { proc });
               retry ())
@@ -201,7 +220,7 @@ let advertise core ?(proc = 0) ~src ~slot ~rib_out ~desired ~announce
 
 let flush_pending core ~proc ~src ~slot =
   let edge = Topology.first_edge core.topo src + slot in
-  Mrai.flush_scheduled core.mrais.((edge * core.procs) + proc)
+  Bytes.get core.flush_scheduled ((edge * core.procs) + proc) <> '\000'
 
 let slot core ~op u v =
   let i = Topology.slot core.topo u v in

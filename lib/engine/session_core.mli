@@ -1,54 +1,58 @@
 (** The session substrate every protocol engine shares, implemented once:
-    per-directed-link ordered {!Channel}s with U[10 ms, 20 ms] delays,
-    per-peer (per-process) MRAI timers of 30 s × U[0.75, 1.0] with
-    immediate withdrawals, session-reset semantics on failure (in-flight
-    messages on a dead link are dropped and counted), link/node up-down
-    bookkeeping ({!Link_state}) and the per-engine update {!Counters}.
+    the paper's session model (§6) of FIFO links with U[10 ms, 20 ms]
+    per-message delays and per-peer (per-process) MRAI timers of
+    [mrai_base] × U[0.75, 1.0] with immediate withdrawals, session-reset
+    semantics on failure (in-flight messages on a dead link are dropped
+    and counted), link/node up-down bookkeeping ({!Link_state}) and the
+    per-engine update {!Counters}.
 
     A protocol engine built on this core is reduced to its decision,
     export and attribute policy: it computes {e what} a neighbour should
     hear and hands the delta to {!advertise}; the core owns {e when} and
     {e whether} the message travels.
 
-    State is flat: channels are indexed by directed edge id
-    ({!Topology.edge}), MRAI timers by edge id × [procs] + process, and
-    an engine's per-neighbour state by slot ({!Topology.slot}); nothing
-    on the per-message path hashes.
+    State is flat: each directed edge ({!Topology.edge}) keeps its last
+    delivery time and the sender's slot at the receiver; each MRAI timer,
+    indexed by edge id × [procs] + process, keeps its interval, the next
+    allowed announcement time and a flush-scheduled flag; an engine's
+    per-neighbour state is indexed by slot ({!Topology.slot}). Nothing on
+    the per-message path hashes.
 
     Reproducibility contract: {!create} draws one RNG float per MRAI
     timer, in increasing edge id and then process order — edge ids follow
-    vertices × neighbors order, the order every engine has always used —
-    and channels draw none; {!send} and {!advertise} draw one float per
-    message sent. Any reordering would shift every later draw and change
-    every pinned experiment number. *)
+    vertices × neighbors order, the order every engine has always used;
+    {!send} and {!advertise} draw one float per message sent. Any
+    reordering would shift every later draw and change every pinned
+    experiment number. *)
 
 type 'msg t
 (** A session core carrying protocol messages of type ['msg]. *)
 
 val create :
-  ?mrai_base:float ->
-  ?detect_delay:float ->
+  mrai_base:float ->
+  detect_delay:float ->
   ?procs:int ->
-  ?trace:Trace.sink ->
+  trace:Trace.sink ->
   who:string ->
   Sim.t ->
   Topology.t ->
   'msg t
-(** Build channels and MRAI state for every directed link. [procs] (default
-    1) is the number of routing processes per router — each gets its own
-    MRAI timer per directed link (STAMP runs two). [detect_delay] (default
-    0) postpones the control-plane reaction to every subsequent
-    {!fail_link} while the data plane is already broken. [trace] (default
-    {!Trace.null}) receives the session substrate's structured events —
-    enqueue/deliver/drop per channel, MRAI deferrals and flushes, session
-    resets and decisions ({!note_decision}) — stamped with [who] as engine
-    id and locations in ASN space; with the null sink every emission site
-    reduces to one branch, and traced runs are bit-identical to untraced
-    ones (tracing draws no randomness and schedules nothing). [who]
-    prefixes error messages (["Bgp_net.fail_link: vertices not
-    adjacent"]).
-    @raise Invalid_argument on a negative [detect_delay] or non-positive
-    [procs]. *)
+(** Session state for every directed link. Each of the [procs] (default
+    1) routing processes per router — STAMP runs two — gets its own MRAI
+    timer per directed link, with interval [mrai_base] × U[0.75, 1.0]; a
+    base of [0.] disables rate limiting. [detect_delay] postpones the
+    control-plane reaction to every subsequent {!fail_link} while the data
+    plane is already broken ([0.]: immediate). [trace] receives the
+    session substrate's structured events — enqueue/deliver/drop per
+    link, MRAI deferrals and flushes, session resets and decisions
+    ({!note_decision}) — stamped with [who] as engine id and locations in
+    ASN space; with {!Trace.null} every emission site reduces to one
+    branch, and traced runs are bit-identical to untraced ones (tracing
+    draws no randomness and schedules nothing). [who] prefixes error
+    messages (["Bgp_net.fail_link: vertices not adjacent"]).
+    @raise Invalid_argument on a negative [mrai_base]
+    (["<who>.create: negative MRAI base"]) or [detect_delay], or a
+    non-positive [procs]. *)
 
 val on_receive :
   'msg t ->

@@ -154,12 +154,12 @@ let lateral topo u v =
   | Some (Relationship.Peer | Relationship.Sibling) -> true
   | Some _ | None -> false
 
-(* Whether the transit core is connected under lateral links (vacuously
-   true for cores of size <= 1). *)
-let core_connected topo =
-  match core_candidates topo with
-  | [] | [ _ ] -> true
-  | first :: _ as core ->
+(* The core members not reached from the first one over lateral links,
+   in core order: [] when [core] is connected (vacuously for size <= 1). *)
+let stranded topo core =
+  match core with
+  | [] -> []
+  | first :: _ ->
     let reached = Hashtbl.create 8 in
     let rec dfs u =
       if not (Hashtbl.mem reached u) then begin
@@ -168,7 +168,10 @@ let core_connected topo =
       end
     in
     dfs first;
-    Hashtbl.length reached = List.length core
+    List.filter (fun v -> not (Hashtbl.mem reached v)) core
+
+(* Whether the transit core is connected under lateral links. *)
+let core_connected topo = stranded topo (core_candidates topo) = []
 
 module Tier1_clique : Check.CHECK = struct
   let id = "topo.tier1-clique"
@@ -180,35 +183,19 @@ module Tier1_clique : Check.CHECK = struct
   let run (ctx : Check.ctx) =
     let topo = ctx.topo in
     if Topology.num_vertices topo < 2 then []
-    else begin
-      let core = core_candidates topo in
-      let k = List.length core in
-      if k = 0 then
-        if Topology.provider_dag_is_acyclic topo then
-          [
-            Diagnostic.error ~check:id Diagnostic.Global
-              "no tier-1 transit core: no provider-less AS has any customer, \
-               so no AS can carry routes between cones"
-              ~hint:"give the top of the hierarchy customers";
-          ]
-        else [] (* provider cycle: topo.wellformed names it *)
-      else if k = 1 then []
-      else begin
-        let t1s = Array.of_list core in
-        (* connectivity of the core under lateral links *)
-        let reached = Hashtbl.create k in
-        let rec dfs u =
-          if not (Hashtbl.mem reached u) then begin
-            Hashtbl.add reached u ();
-            Array.iter (fun v -> if lateral topo u v then dfs v) t1s
-          end
-        in
-        dfs t1s.(0);
-        if Hashtbl.length reached < k then
-          let stranded =
-            Array.to_list t1s
-            |> List.filter (fun v -> not (Hashtbl.mem reached v))
-          in
+    else
+      match core_candidates topo with
+      | [] when Topology.provider_dag_is_acyclic topo ->
+        [
+          Diagnostic.error ~check:id Diagnostic.Global
+            "no tier-1 transit core: no provider-less AS has any customer, so \
+             no AS can carry routes between cones"
+            ~hint:"give the top of the hierarchy customers";
+        ]
+      | [] -> [] (* provider cycle: topo.wellformed names it *)
+      | core -> (
+        match stranded topo core with
+        | _ :: _ as stranded ->
           [
             Diagnostic.error ~check:id Diagnostic.Global
               (Printf.sprintf
@@ -217,26 +204,22 @@ module Tier1_clique : Check.CHECK = struct
                  (fmt_asns topo stranded))
               ~hint:"peer the tier-1 ASes with each other";
           ]
-        else begin
+        | [] ->
           (* connected but not a full mesh: reachability holds, path
              inflation and single-peering fragility remain *)
-          let missing = ref [] in
-          Array.iter
+          List.concat_map
             (fun u ->
-              Array.iter
+              List.filter_map
                 (fun v ->
                   if u < v && not (lateral topo u v) then
-                    missing := (u, v) :: !missing)
-                t1s)
-            t1s;
-          List.rev_map
-            (fun (u, v) ->
-              Diagnostic.warning ~check:id
-                (Diagnostic.link (Topology.asn topo u) (Topology.asn topo v))
-                "tier-1 ASes are not directly peered (full clique expected)"
-                ~hint:"add the missing tier-1 peer link")
-            !missing
-        end
-      end
-    end
+                    Some
+                      (Diagnostic.warning ~check:id
+                         (Diagnostic.link (Topology.asn topo u)
+                            (Topology.asn topo v))
+                         "tier-1 ASes are not directly peered (full clique \
+                          expected)"
+                         ~hint:"add the missing tier-1 peer link")
+                  else None)
+                core)
+            core)
 end

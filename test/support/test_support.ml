@@ -102,6 +102,35 @@ let converge_bgp ?(seed = 7) ?detect_delay topo ~dest =
   Sim.run sim;
   (sim, net)
 
+(* A bare Session_core over [topo] carrying ints, for the session-model
+   cases: [received ()] lists the (message, arrival time) pairs delivered
+   so far, oldest first. *)
+let session_core ?(seed = 1) ?(mrai_base = 30.) topo =
+  let sim = Sim.create ~seed () in
+  let core =
+    Session_core.create ~mrai_base ~detect_delay:0. ~trace:Trace.null
+      ~who:"Test" sim topo
+  in
+  let received = ref [] in
+  Session_core.on_receive core (fun ~src:_ ~dst:_ ~slot:_ m ->
+      received := (m, Sim.now sim) :: !received);
+  (sim, core, fun () -> List.rev !received)
+
+(* One session, 1 -- 2: [send m] sends [m] from 1 to 2. *)
+let session_pair ?seed ?mrai_base () =
+  let t = chain 2 in
+  let sim, core, received = session_core ?seed ?mrai_base t in
+  let send m =
+    Session_core.send core ~src:(vtx t 1) ~slot:0 ~kind:`Announce m
+  in
+  (sim, core, send, received)
+
+(* Advertise [desired] from [src] to its neighbour in [slot] through the
+   MRAI path; a deferred flush runs [retry]. *)
+let advertise core ~src ~slot ~rib_out desired ~retry =
+  Session_core.advertise core ~src ~slot ~rib_out ~desired ~announce:Fun.id
+    ~withdraw:(fun () -> 0) ~retry ()
+
 (* Alcotest/QCheck glue: register a QCheck2 property as an alcotest case. *)
 let qtest ?(count = 50) name gen print prop =
   QCheck_alcotest.to_alcotest

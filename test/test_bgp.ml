@@ -70,33 +70,76 @@ let test_export_matrix () =
   chk Relationship.Provider Relationship.Peer false;
   chk Relationship.Provider Relationship.Provider false
 
-(* --- Mrai --------------------------------------------------------------- *)
+(* --- MRAI: per-peer timers of 30 s × U[0.75, 1.0] ------------------------ *)
+
+let advertise = Test_support.advertise
 
 let test_mrai_interval_range () =
-  let st = Random.State.make [| 1 |] in
-  for _ = 1 to 100 do
-    let m = Mrai.create st () in
-    let i = Mrai.interval m in
-    Alcotest.(check bool)
-      (Printf.sprintf "interval %.2f in [22.5, 30]" i)
-      true
-      (i >= 22.5 && i <= 30.)
-  done
+  (* AS 1 above 100 customers: each session's timer is deferred right
+     after its first announcement at time 0, so its flush fires after
+     exactly its interval *)
+  let b = Topology.Builder.create () in
+  for c = 2 to 101 do
+    Topology.Builder.add_p2c b ~provider:1 ~customer:c
+  done;
+  let t = Topology.Builder.build b in
+  let sim, core, _ = Test_support.session_core t in
+  let src = Test_support.vtx t 1 in
+  let rib_out = Array.make 100 None in
+  let flushes = ref [] in
+  let retry () = flushes := Sim.now sim :: !flushes in
+  for slot = 0 to 99 do
+    advertise core ~src ~slot ~rib_out (Some 1) ~retry;
+    advertise core ~src ~slot ~rib_out (Some 2) ~retry
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "one flush per session" 100 (List.length !flushes);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "interval %.2f in [22.5, 30]" i)
+        true
+        (i >= 22.5 && i <= 30.))
+    !flushes
 
 let test_mrai_gating () =
-  let st = Random.State.make [| 1 |] in
-  let m = Mrai.create st () in
-  Alcotest.(check bool) "initially ready" true (Mrai.ready m ~now:0.);
-  Mrai.note_sent m ~now:0.;
-  Alcotest.(check bool) "blocked" false (Mrai.ready m ~now:1.);
-  Alcotest.(check bool) "ready after interval" true
-    (Mrai.ready m ~now:(Mrai.interval m))
+  let t = Test_support.chain 2 in
+  let sim, core, received = Test_support.session_core t in
+  let src = Test_support.vtx t 1 and rib_out = [| None |] in
+  let desired = ref (Some 1) in
+  let rec go () = advertise core ~src ~slot:0 ~rib_out !desired ~retry:go in
+  go ();
+  (* blocked at once and 1 s later; the single flush sends what is
+     desired when it fires *)
+  desired := Some 2;
+  go ();
+  Sim.schedule sim ~delay:1. (fun _ ->
+      desired := Some 3;
+      go ());
+  Sim.run sim;
+  let c = Session_core.counters core in
+  Alcotest.(check int) "deferrals" 2 c.Counters.mrai_deferrals;
+  match received () with
+  | [ (1, a); (3, b) ] ->
+    Alcotest.(check bool) "initially ready" true (a <= 0.020);
+    Alcotest.(check bool)
+      (Printf.sprintf "ready after the interval (%.2f)" b)
+      true
+      (b >= 22.5 && b <= 30.020)
+  | _ -> Alcotest.fail "expected announcements 1 then 3"
 
 let test_mrai_zero_base () =
-  let st = Random.State.make [| 1 |] in
-  let m = Mrai.create st ~base:0. () in
-  Mrai.note_sent m ~now:5.;
-  Alcotest.(check bool) "no rate limit" true (Mrai.ready m ~now:5.)
+  let t = Test_support.chain 2 in
+  let sim, core, received = Test_support.session_core ~mrai_base:0. t in
+  let src = Test_support.vtx t 1 and rib_out = [| None |] in
+  let retry () = Alcotest.fail "no flush expected" in
+  Sim.schedule sim ~delay:5. (fun _ ->
+      advertise core ~src ~slot:0 ~rib_out (Some 1) ~retry;
+      advertise core ~src ~slot:0 ~rib_out (Some 2) ~retry);
+  Sim.run sim;
+  Alcotest.(check int) "no rate limit" 0
+    (Session_core.counters core).Counters.mrai_deferrals;
+  Alcotest.(check (list int)) "both sent" [ 1; 2 ] (List.map fst (received ()))
 
 (* --- Convergence to the oracle ----------------------------------------- *)
 

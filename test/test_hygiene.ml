@@ -67,20 +67,17 @@ let rules =
       allowed = (fun _ -> false);
       why = "use an explicit Random.State (Sim.rng or a seeded state)";
     };
-    (* The engine substrate owns every session channel and MRAI timer: the
-       RNG draw-order contract (one float per Mrai.create, one per
-       Channel.send) is pinned by the golden Runner numbers, and it only
-       holds if no protocol builds channels or MRAI timers behind
-       Session_core's back. *)
+    (* The session substrate owns the simulator's randomness: the RNG
+       draw-order contract (one float per MRAI timer at creation, one per
+       message sent) is pinned by the golden Runner numbers, and it only
+       holds if no protocol draws from Sim.rng behind Session_core's
+       back. *)
     {
-      name = "no session construction outside lib/engine";
-      patterns = [ "Channel.create"; "Mrai.create" ];
+      name = "Sim.rng only in the session core";
+      patterns = [ "Sim.rng" ];
       dirs = [ "lib" ];
-      allowed =
-        (* the substrate itself, plus the simkernel modules that define
-           the primitives (their .mli docs may name the qualified calls) *)
-        contains_fragment [ "engine"; "sim" ];
-      why = "route session channels and MRAI timers through Session_core";
+      allowed = contains_fragment [ "engine/session_core.ml"; "simkernel/" ];
+      why = "draw session delays and MRAI intervals in Session_core";
     };
     (* Libraries report through Logs / Fmt / returned values; writing to
        stdout from lib/ corrupts machine-readable output (stamp_check

@@ -1,5 +1,5 @@
 (* Edge cases and smaller components: generator validation, printers,
-   Mrai bookkeeping, Sim stepping, and cross-cutting smoke tests. *)
+   MRAI flush bookkeeping, Sim stepping, and cross-cutting smoke tests. *)
 
 let vtx = Test_support.vtx
 
@@ -107,16 +107,28 @@ let test_report_printers_smoke () =
   Alcotest.(check bool) "overhead mentions recover" true
     (Astring.String.is_infix ~affix:"recover" s)
 
-(* --- Mrai flush bookkeeping ---------------------------------------------- *)
+(* --- MRAI flush bookkeeping ---------------------------------------------- *)
 
 let test_mrai_flush_flag () =
-  let st = Random.State.make [| 2 |] in
-  let m = Mrai.create st () in
-  Alcotest.(check bool) "initially unscheduled" false (Mrai.flush_scheduled m);
-  Mrai.set_flush_scheduled m true;
-  Alcotest.(check bool) "scheduled" true (Mrai.flush_scheduled m);
-  Mrai.set_flush_scheduled m false;
-  Alcotest.(check bool) "cleared" false (Mrai.flush_scheduled m)
+  let t = Test_support.chain 2 in
+  let sim, core, _ = Test_support.session_core ~seed:2 t in
+  let src = Test_support.vtx t 1 and rib_out = [| None |] in
+  let pending () = Session_core.flush_pending core ~proc:0 ~src ~slot:0 in
+  let advertise desired =
+    Test_support.advertise core ~src ~slot:0 ~rib_out desired ~retry:ignore
+  in
+  Alcotest.(check bool) "initially unscheduled" false (pending ());
+  advertise (Some 1);
+  Alcotest.(check bool) "sent, nothing deferred" false (pending ());
+  advertise (Some 2);
+  Alcotest.(check bool) "scheduled" true (pending ());
+  Sim.run sim;
+  Alcotest.(check bool) "cleared" false (pending ())
+
+let test_mrai_negative_base () =
+  Alcotest.check_raises "negative base"
+    (Invalid_argument "Test.create: negative MRAI base") (fun () ->
+      ignore (Test_support.session_core ~mrai_base:(-1.) (Test_support.chain 2)))
 
 (* --- Sim stepping ----------------------------------------------------------- *)
 
@@ -136,12 +148,6 @@ let test_sim_run_advances_clock_without_events () =
   (* but an unbounded run with an empty queue must not jump to infinity *)
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "still finite" 5. (Sim.now sim)
-
-let test_channel_bad_bounds () =
-  let sim = Sim.create () in
-  Alcotest.check_raises "bad delays"
-    (Invalid_argument "Channel.create: bad delay bounds") (fun () ->
-      ignore (Channel.create sim ~delay_lo:0.02 ~delay_hi:0.01 ~deliver:ignore))
 
 (* --- failure overlay ---------------------------------------------------- *)
 
@@ -272,7 +278,8 @@ let () =
           Alcotest.test_case "sim step" `Quick test_sim_step;
           Alcotest.test_case "clock advance" `Quick
             test_sim_run_advances_clock_without_events;
-          Alcotest.test_case "channel bounds" `Quick test_channel_bad_bounds;
+          Alcotest.test_case "mrai negative base" `Quick
+            test_mrai_negative_base;
           Alcotest.test_case "link state" `Quick test_link_state;
         ] );
       ( "stamp-instant",

@@ -314,15 +314,13 @@ let prop_sim_counters_consistent =
       check ();
       !ok && Sim.pending sim = 0 && Sim.events_processed sim = !scheduled)
 
-(* --- Channel ----------------------------------------------------------- *)
+(* --- Sessions: FIFO links with U[10 ms, 20 ms] delays ------------------ *)
 
 let test_channel_delay_bounds () =
-  let sim = Sim.create ~seed:3 () in
-  let received = ref [] in
-  let ch = Channel.create sim ~deliver:(fun x -> received := (x, Sim.now sim) :: !received) in
-  Channel.send ch 1;
+  let sim, _, send, received = Test_support.session_pair ~seed:3 () in
+  send 1;
   Sim.run sim;
-  match !received with
+  match received () with
   | [ (1, at) ] ->
     Alcotest.(check bool)
       (Printf.sprintf "delay %.4f in [0.010, 0.020]" at)
@@ -333,27 +331,30 @@ let test_channel_delay_bounds () =
 let test_channel_fifo () =
   (* send many messages back-to-back; each draws an independent delay but
      delivery order must match send order *)
-  let sim = Sim.create ~seed:11 () in
-  let received = ref [] in
-  let ch = Channel.create sim ~deliver:(fun x -> received := x :: !received) in
+  let sim, core, send, received = Test_support.session_pair ~seed:11 () in
   for i = 1 to 100 do
-    Channel.send ch i
+    send i
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "fifo" (List.init 100 (fun i -> i + 1))
-    (List.rev !received);
-  Alcotest.(check int) "sent count" 100 (Channel.sent_count ch)
+    (List.map fst (received ()));
+  Alcotest.(check int) "sent count" 100
+    (Session_core.counters core).Counters.announcements
 
 let test_channel_fifo_across_time () =
-  let sim = Sim.create ~seed:4 () in
-  let received = ref [] in
-  let ch = Channel.create sim ~delay_lo:0.01 ~delay_hi:0.10
-             ~deliver:(fun x -> received := x :: !received) in
-  Channel.send ch "first";
-  (* second message sent 1 ms later could draw a much smaller delay *)
-  Sim.schedule sim ~delay:0.001 (fun _ -> Channel.send ch "second");
-  Sim.run sim;
-  Alcotest.(check (list string)) "order" [ "first"; "second" ] (List.rev !received)
+  (* the second message, sent 1 ms later, may draw a delay more than 1 ms
+     smaller; it then arrives just after the first *)
+  let pushed = ref 0 in
+  for seed = 0 to 49 do
+    let sim, _, send, received = Test_support.session_pair ~seed () in
+    send 1;
+    Sim.schedule sim ~delay:0.001 (fun _ -> send 2);
+    Sim.run sim;
+    match received () with
+    | [ (1, a); (2, b) ] -> if b -. a < 1e-6 then incr pushed
+    | _ -> Alcotest.fail "expected 1 then 2"
+  done;
+  Alcotest.(check bool) "some second message pushed back" true (!pushed > 0)
 
 let prop_channel_never_reorders =
   Test_support.qtest "channel preserves order for any send schedule"
@@ -361,17 +362,15 @@ let prop_channel_never_reorders =
       tup2 small_nat (list_size (int_range 1 30) (float_range 0. 0.05)))
     QCheck2.Print.(tup2 int (list float))
     (fun (seed, gaps) ->
-      let sim = Sim.create ~seed () in
-      let received = ref [] in
-      let ch = Channel.create sim ~deliver:(fun x -> received := x :: !received) in
+      let sim, _, send, received = Test_support.session_pair ~seed () in
       let t = ref 0. in
       List.iteri
         (fun i gap ->
           t := !t +. gap;
-          Sim.schedule_at sim ~time:!t (fun _ -> Channel.send ch i))
+          Sim.schedule_at sim ~time:!t (fun _ -> send i))
         gaps;
       Sim.run sim;
-      List.rev !received = List.init (List.length gaps) Fun.id)
+      List.map fst (received ()) = List.init (List.length gaps) Fun.id)
 
 let () =
   Alcotest.run "simkernel"
