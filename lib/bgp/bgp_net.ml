@@ -15,19 +15,18 @@ type t = {
 (* --- advertisement: policy on top of the shared skeleton ------------- *)
 
 (* [i] is the neighbour's slot at [v]. *)
-let rec advertise_to t v i =
+let advertise_to t v i =
   let p = t.procs.(v) in
-  let desired =
-    if t.export_deny.(v).(i) then None
-    else
-      let n, to_rel = (Topology.neighbors t.topo v).(i) in
-      Process.export p ~to_:n ~to_rel
-  in
-  Session_core.advertise t.core ~src:v ~slot:i ~rib_out:p.rib_out ~desired
-    ~announce:(fun p -> Announce p)
-    ~withdraw:(fun () -> Withdraw)
-    ~retry:(fun () -> advertise_to t v i)
-    ()
+  let n, to_rel = (Topology.neighbors t.topo v).(i) in
+  match
+    Process.advertise p t.core ~slot:i ~to_:n ~to_rel
+      ~deny:t.export_deny.(v).(i)
+  with
+  | Announce ->
+    Session_core.send t.core ~src:v ~slot:i ~kind:`Announce
+      (Announce (Option.get p.rib_out.(i)))
+  | Withdraw -> Session_core.send t.core ~src:v ~slot:i ~kind:`Withdraw Withdraw
+  | Idle | Deferred -> ()
 
 let advertise_all t v =
   for i = 0 to Topology.degree t.topo v - 1 do
@@ -67,7 +66,7 @@ let recompute_backup t v =
 let recompute t v =
   let p = t.procs.(v) in
   let best' = if v = t.dest then Some Route.origin else Process.select p in
-  let changed = Process.decide p t.core best' in
+  let changed = Process.decide ~prefix:"" p t.core best' in
   recompute_backup t v;
   if changed then advertise_all t v
 
@@ -79,7 +78,7 @@ let receive t v ~slot msg =
     (match msg with
     | Announce path ->
       let cls = snd (Topology.neighbors t.topo v).(slot) in
-      Process.learn p ~slot { Route.as_path = path; cls }
+      Process.learn p ~slot (Route.make ~cls path)
     | Withdraw -> Process.withdraw p ~slot);
     recompute t v
   end
@@ -123,8 +122,8 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
   if dest < 0 || dest >= n then invalid_arg "Bgp_net.create: bad destination";
   let upgraded = Array.init n deployed in
   let core =
-    Session_core.create ~mrai_base ~detect_delay ~trace
-      ~who:"Bgp_net" sim topo
+    Session_core.create ~mrai_base ~detect_delay ~trace ~who:"Bgp_net"
+      ~blank:Withdraw sim topo
   in
   let t =
     {
@@ -143,6 +142,8 @@ let create sim topo ~dest ?(deployed = fun _ -> false) ?(mrai_base = 30.)
   in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t dst ~slot msg);
+  Session_core.on_flush core (fun ~src ~slot ~proc:_ ->
+      advertise_to t src slot);
   Session_core.on_forward core ~dest ~num_states:t.num_states
     ~start:(fun _ -> 0) ~step:(step t);
   t
@@ -202,7 +203,8 @@ let allow_export t v n = set_export t v n ~op:"allow_export" ~deny:false
 (* --- observation ---------------------------------------------------- *)
 
 let best t v = t.procs.(v).best
-let next_hop t v = Process.next_hop t.procs.(v)
+let next_hop t v =
+  match Process.next_hop t.procs.(v) with -1 -> None | nh -> Some nh
 let backup t v = t.backup.(v)
 
 let has_disjoint_backup t v =

@@ -2,7 +2,7 @@ let better (a : Route.t) (b : Route.t) =
   let pa = Relationship.local_pref a.cls and pb = Relationship.local_pref b.cls in
   if pa <> pb then pa > pb
   else
-    let la = Route.length a and lb = Route.length b in
+    let la = a.length and lb = b.length in
     if la <> lb then la < lb
     else
       (* lowest next hop; the origin's own route (empty path) wins *)

@@ -1,30 +1,41 @@
 type ('e, 'h) t = {
   self : Topology.vertex;
   route : 'e -> Route.t;
+  flag : 'e -> bool;
   adj_rib_in : 'e option array;
   rib_out : 'h option array;
   mutable best : 'e option;
   mutable top : int;
+  mutable flagged : int;
 }
 
 (* [top] on an empty RIB, and when [select] must rescan *)
 let empty = -1
 let stale = -2
 
-let create self ~degree ~route =
+let create ?(flag = fun _ -> false) self ~degree ~route =
   {
     self;
     route;
+    flag;
     adj_rib_in = Array.make degree None;
     rib_out = Array.make degree None;
     best = None;
     top = empty;
+    flagged = 0;
   }
 
 let beats p a b = Decision.better (p.route a) (p.route b)
 
+let flags p = function Some e when p.flag e -> 1 | Some _ | None -> 0
+
+(* Every Adj-RIB-In write: keeps [flagged] counting. *)
+let set p slot entry =
+  p.flagged <- p.flagged - flags p p.adj_rib_in.(slot) + flags p entry;
+  p.adj_rib_in.(slot) <- entry
+
 let withdraw p ~slot =
-  p.adj_rib_in.(slot) <- None;
+  set p slot None;
   if p.top = slot then p.top <- stale
 
 let learn p ~slot e =
@@ -38,7 +49,7 @@ let learn p ~slot e =
        | Some b when p.top = slot -> if beats p b e then p.top <- stale
        | Some b -> if beats p e b then p.top <- slot
        | None -> ());
-    p.adj_rib_in.(slot) <- Some e
+    set p slot (Some e)
   end
 
 let forget p ~slot =
@@ -49,7 +60,8 @@ let clear p =
   Array.fill p.adj_rib_in 0 (Array.length p.adj_rib_in) None;
   Array.fill p.rib_out 0 (Array.length p.rib_out) None;
   p.best <- None;
-  p.top <- empty
+  p.top <- empty;
+  p.flagged <- 0
 
 let purge p ~drop =
   Array.iteri
@@ -58,12 +70,7 @@ let purge p ~drop =
       | Some _ | None -> ())
     p.adj_rib_in
 
-let rec exists_from rib f i =
-  i < Array.length rib
-  && ((match rib.(i) with Some e -> f e | None -> false)
-     || exists_from rib f (i + 1))
-
-let exists p f = exists_from p.adj_rib_in f 0
+let entry p ~slot = p.adj_rib_in.(slot)
 
 let select p =
   if p.top = stale then begin
@@ -79,9 +86,11 @@ let select p =
   if p.top = empty then None else p.adj_rib_in.(p.top)
 
 let next_hop p =
-  match p.best with None -> None | Some e -> Route.learned_from (p.route e)
+  match p.best with
+  | Some e -> ( match (p.route e).as_path with nh :: _ -> nh | [] -> -1)
+  | None -> -1
 
-let decide ?prefix p core best' =
+let decide ~prefix p core best' =
   if best' == p.best || best' = p.best then false
   else begin
     let old_next = next_hop p in
@@ -93,8 +102,7 @@ let decide ?prefix p core best' =
     in
     p.best <- best';
     Session_core.note_decision core ~node:p.self ~old_next
-      ~new_next:(next_hop p)
-      ~cause:(match prefix with None -> cause | Some s -> s ^ cause);
+      ~new_next:(next_hop p) ~prefix ~cause;
     true
   end
 
@@ -134,11 +142,28 @@ let exportable p ~to_ ~to_rel =
   end
   | None -> false
 
-let export p ~to_ ~to_rel =
-  match p.best with
-  | Some e when exportable p ~to_ ~to_rel ->
-    Some (p.self :: (p.route e).as_path)
-  | Some _ | None -> None
+(* The neighbour hears [self :: as_path] of the best route: whether it
+   heard that already is read off the RIB-Out tail, physically first. *)
+let advertise p core ~slot ~to_ ~to_rel ~deny =
+  let heard = p.rib_out.(slot) in
+  let wants = (not deny) && exportable p ~to_ ~to_rel in
+  let same =
+    match (heard, p.best) with
+    | Some (_ :: h), Some e ->
+      let path = (p.route e).as_path in
+      h == path || h = path
+    | _ -> false
+  in
+  let verdict =
+    Session_core.advertise core ~proc:0 ~src:p.self ~slot
+      ~heard:(Option.is_some heard) ~wants ~same
+  in
+  (match verdict with
+  | Announce ->
+    p.rib_out.(slot) <- Some (p.self :: (p.route (Option.get p.best)).as_path)
+  | Withdraw -> p.rib_out.(slot) <- None
+  | Idle | Deferred -> ());
+  verdict
 
 let hop_up links v (r : Route.t) =
   match r.as_path with

@@ -34,18 +34,25 @@
 type ('e, 'h) t = private {
   self : Topology.vertex;  (** the router running the process *)
   route : 'e -> Route.t;  (** an entry's route *)
+  flag : 'e -> bool;
   adj_rib_in : 'e option array;
       (** by slot: the route that neighbour currently announces *)
   rib_out : 'h option array;
-      (** by slot: what that neighbour last heard (see
-          {!Session_core.advertise}) *)
+      (** by slot: what that neighbour last heard; the engine writes it
+          when {!Session_core.advertise} has it send something *)
   mutable best : 'e option;
   mutable top : int;  (** the select cache *)
+  mutable flagged : int;  (** Adj-RIB-In entries satisfying [flag] *)
 }
 
 val create :
-  Topology.vertex -> degree:int -> route:('e -> Route.t) -> ('e, 'h) t
-(** An empty process at a router with [degree] neighbours (slots). *)
+  ?flag:('e -> bool) ->
+  Topology.vertex ->
+  degree:int ->
+  route:('e -> Route.t) ->
+  ('e, 'h) t
+(** An empty process at a router with [degree] neighbours (slots);
+    [flag] defaults to none. *)
 
 (** {1 Updating the RIBs} *)
 
@@ -68,8 +75,8 @@ val purge : ('e, 'h) t -> drop:('e -> bool) -> unit
 (** Withdraw every Adj-RIB-In entry satisfying [drop] (R-BGP's root-cause
     purge). *)
 
-val exists : ('e, 'h) t -> ('e -> bool) -> bool
-(** Whether some Adj-RIB-In entry satisfies the predicate. *)
+val entry : ('e, 'h) t -> slot:int -> 'e option
+(** The Adj-RIB-In entry of the neighbour in [slot]. *)
 
 (** {1 Decision} *)
 
@@ -80,10 +87,10 @@ val select : ('e, 'h) t -> 'e option
     option itself: an unchanged best is physically the last one. *)
 
 val decide :
-  ?prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool
-(** [decide p core best'] installs [best'] when it differs structurally
-    from the current best (tested physically first), reports the change with
-    {!Session_core.note_decision} (cause ["route-loss"],
+  prefix:string -> ('e, 'h) t -> 'm Session_core.t -> 'e option -> bool
+(** [decide ~prefix p core best'] installs [best'] when it differs
+    structurally from the current best (tested physically first), reports
+    the change with {!Session_core.note_decision} (cause ["route-loss"],
     ["route-learned"] or ["route-change"], after [prefix]) and returns
     whether it changed. *)
 
@@ -94,9 +101,8 @@ val alternate :
     the one of lowest [score], ties broken by {!Decision.better}. [None]
     when there is no best route or no candidate. *)
 
-val next_hop : ('e, 'h) t -> Topology.vertex option
-(** The best route's next hop; [None] without a route and at the
-    origin. *)
+val next_hop : ('e, 'h) t -> Topology.vertex
+(** The best route's next hop; [-1] without a route and at the origin. *)
 
 (** {1 Export} *)
 
@@ -106,13 +112,18 @@ val exportable :
     under valley-free export ({!Export.exportable}): there is one, and it
     was not learned from that neighbour. *)
 
-val export :
-  ('e, 'h) t ->
+val advertise :
+  ('e, Topology.vertex list) t ->
+  'm Session_core.t ->
+  slot:int ->
   to_:Topology.vertex ->
   to_rel:Relationship.t ->
-  Topology.vertex list option
-(** The path such a neighbour hears when {!exportable}:
-    [Some (self :: as_path)], otherwise [None]. *)
+  deny:bool ->
+  Session_core.verdict
+(** {!Session_core.advertise} to the neighbour in [slot], which hears
+    [self :: as_path] when {!exportable} and not [deny]-ed. On [Announce]
+    or [Withdraw] the RIB-Out already records the path to send, or
+    nothing. *)
 
 (** {1 Forwarding} *)
 

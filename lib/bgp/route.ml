@@ -1,8 +1,8 @@
-type t = { as_path : Topology.vertex list; cls : Relationship.t }
+type t = { as_path : Topology.vertex list; cls : Relationship.t; length : int }
 
-let origin = { as_path = []; cls = Relationship.Customer }
+let make ~cls as_path = { as_path; cls; length = List.length as_path }
+let origin = make ~cls:Relationship.Customer []
 let learned_from r = match r.as_path with [] -> None | nh :: _ -> Some nh
-let length r = List.length r.as_path
 let contains r v = List.mem v r.as_path
 
 let pp ppf r =

@@ -6,6 +6,9 @@ type body =
 
 type msg = { color : Color.t; body : body }
 
+(* fills the session core's free queue cells *)
+let blank = { color = Color.Red; body = Withdraw { et_ok = true } }
+
 (* The router-wide facts the selective-announcement plan reads. They do not
    change while one router advertises (sending only schedules), so an
    advertisement round computes them once for every neighbour. *)
@@ -42,25 +45,27 @@ let proc r color = r.procs.(Color.to_int color)
 
 (* --- selective announcement ----------------------------------------- *)
 
-let blue_lock_held t r =
-  r.v = t.dest || Process.exists (proc r Color.Blue) (fun e -> e.lock)
+(* the blue process counts its locked entries ([Process.flagged]) *)
+let blue_lock_held t r = r.v = t.dest || (proc r Color.Blue).flagged > 0
 
 (* The provider the locked blue route must be re-announced to: the first
    alive provider in the AS's coloring preference order; -1 when none. *)
 let designated_provider t r =
-  let prefs = Coloring.preference t.coloring r.v in
-  let rec scan i =
-    if i >= Array.length prefs then -1
-    else if Session_core.link_up t.core r.v prefs.(i) then prefs.(i)
-    else scan (i + 1)
-  in
-  scan 0
+  let prefs = Coloring.preference t.coloring r.v and i = ref 0 in
+  while
+    !i < Array.length prefs
+    && not (Session_core.link_up t.core r.v prefs.(!i))
+  do
+    incr i
+  done;
+  if !i < Array.length prefs then prefs.(!i) else -1
 
 let alive_provider_count t r =
-  Array.fold_left
-    (fun acc p -> if Session_core.link_up t.core r.v p then acc + 1 else acc)
-    0
-    (Topology.providers t.topo r.v)
+  let provs = Topology.providers t.topo r.v and n = ref 0 in
+  for i = 0 to Array.length provs - 1 do
+    if Session_core.link_up t.core r.v provs.(i) then incr n
+  done;
+  !n
 
 let plan t r =
   {
@@ -69,6 +74,11 @@ let plan t r =
     same_next_hop =
       Process.next_hop (proc r Red) = Process.next_hop (proc r Blue);
   }
+
+let same_plan a b =
+  a.locked_to = b.locked_to
+  && Bool.equal a.single_homed b.single_homed
+  && Bool.equal a.same_next_hop b.same_next_hop
 
 (* Should neighbour [n] (relationship [to_rel]) currently hear [r]'s route
    on process [color]? [Some lock] for an announcement with that lock bit,
@@ -113,8 +123,9 @@ let desired t r plan n to_rel color =
   | Some _ when Process.exportable (proc r color) ~to_:n ~to_rel -> lock
   | Some _ | None -> None
 
-(* Advertise to the neighbour in slot [i] under a given plan; returns
-   before allocating when it already heard [r.v :: as_path] as it should. *)
+(* Advertise to the neighbour in slot [i] under a given plan; what it
+   heard is compared without allocating, its RIB-Out tail physically
+   first. *)
 let rec advertise_planned t r plan i color =
   let c = Color.to_int color in
   let p = r.procs.(c) in
@@ -122,26 +133,28 @@ let rec advertise_planned t r plan i color =
   let lock =
     if r.export_deny.(i) then None else desired t r plan n to_rel color
   in
-  match (lock, p.rib_out.(i), p.best) with
-  | None, None, _ -> ()
-  | Some lock, Some (_ :: heard, lock'), Some b
-    when lock = lock' && heard = b.route.as_path ->
-    ()
-  | _ ->
-    Session_core.advertise t.core ~proc:c ~src:r.v ~slot:i ~rib_out:p.rib_out
-      ~desired:
-        (match (lock, Process.export p ~to_:n ~to_rel) with
-        | Some lock, Some path -> Some (path, lock)
-        | _ -> None)
-      ~announce:(fun (path, lock) ->
-        {
-          color;
-          body = Announce { path; lock; et_ok = not r.loss_pending.(c) };
-        })
-      ~withdraw:(fun () ->
-        { color; body = Withdraw { et_ok = not r.loss_pending.(c) } })
-      ~retry:(fun () -> advertise_to t r i color)
-      ()
+  let heard = p.rib_out.(i) in
+  let same =
+    match (lock, heard, p.best) with
+    | Some lock, Some (_ :: h, lock'), Some b ->
+      Bool.equal lock lock' && (h == b.route.as_path || h = b.route.as_path)
+    | _ -> false
+  in
+  match
+    Session_core.advertise t.core ~proc:c ~src:r.v ~slot:i
+      ~heard:(Option.is_some heard) ~wants:(Option.is_some lock) ~same
+  with
+  | Announce ->
+    let path = r.v :: (Option.get p.best).route.as_path
+    and lock = Option.get lock in
+    p.rib_out.(i) <- Some (path, lock);
+    Session_core.send t.core ~src:r.v ~slot:i ~kind:`Announce
+      { color; body = Announce { path; lock; et_ok = not r.loss_pending.(c) } }
+  | Withdraw ->
+    p.rib_out.(i) <- None;
+    Session_core.send t.core ~src:r.v ~slot:i ~kind:`Withdraw
+      { color; body = Withdraw { et_ok = not r.loss_pending.(c) } }
+  | Idle | Deferred -> ()
 
 and advertise_to t r i color = advertise_planned t r (plan t r) i color
 
@@ -167,6 +180,7 @@ let advertise_all t r = advertise_round t r (plan t r) ~full:true
 (* --- decision -------------------------------------------------------- *)
 
 let entry_route e = e.route
+let entry_lock e = e.lock
 
 let origin_entry color =
   (* the destination's own blue route carries the lock obligation *)
@@ -213,7 +227,7 @@ let receive t r ~slot { color; body } =
     (match body with
     | Announce { path; lock; _ } ->
       let cls = snd (Topology.neighbors t.topo r.v).(slot) in
-      Process.learn p ~slot { route = { as_path = path; cls }; lock }
+      Process.learn p ~slot { route = Route.make ~cls path; lock }
     | Withdraw _ -> Process.withdraw p ~slot);
     let changed = recompute t r color ~loss in
     (* A round reads the plan and both best routes. While neither moves,
@@ -221,7 +235,7 @@ let receive t r ~slot { color; body } =
        "Skipped STAMP rounds"); the plan moves without a decision on a
        locked blue entry that is not best, or inside a detection window. *)
     let plan = plan t r in
-    advertise_round t r plan ~full:(changed || plan <> r.last_plan)
+    advertise_round t r plan ~full:(changed || not (same_plan plan r.last_plan))
   end
 
 (* --- forwarding ------------------------------------------------------- *)
@@ -284,7 +298,8 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(detect_delay = 0.)
         {
           v;
           procs =
-            Array.init 2 (fun _ -> Process.create v ~degree ~route:entry_route);
+            Array.init 2 (fun _ ->
+                Process.create v ~degree ~route:entry_route ~flag:entry_lock);
           unstable = Array.make 2 false;
           loss_pending = Array.make 2 false;
           export_deny = Array.make degree false;
@@ -297,11 +312,13 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(detect_delay = 0.)
      Color.all order exactly as before *)
   let core =
     Session_core.create ~mrai_base ~detect_delay ~procs:2 ~trace
-      ~who:"Stamp_net" sim topo
+      ~who:"Stamp_net" ~blank sim topo
   in
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t t.routers.(dst) ~slot msg);
+  Session_core.on_flush core (fun ~src ~slot ~proc ->
+      advertise_to t t.routers.(src) slot (Color.of_int proc));
   forwarding t;
   t
 
@@ -322,7 +339,7 @@ let reset_session t r peer ~failure =
   List.iter
     (fun color ->
       let p = proc r color in
-      let loss = failure && Process.next_hop p = Some peer in
+      let loss = failure && Process.next_hop p = peer in
       Process.forget p ~slot;
       ignore (recompute t r color ~loss : bool))
     Color.all;

@@ -8,20 +8,22 @@
 
     A protocol engine built on this core is reduced to its decision,
     export and attribute policy: it computes {e what} a neighbour should
-    hear and hands the delta to {!advertise}; the core owns {e when} and
-    {e whether} the message travels.
+    hear and asks {!advertise} what to do about it; the core owns {e when}
+    and {e whether} the message travels.
 
     State is flat: each directed edge ({!Topology.edge}) keeps its last
-    delivery time and the sender's slot at the receiver; each MRAI timer,
-    indexed by edge id × [procs] + process, keeps its interval, the next
-    allowed announcement time and a flush-scheduled flag; an engine's
-    per-neighbour state is indexed by slot ({!Topology.slot}). Nothing on
-    the per-message path hashes.
+    delivery time, the sender's slot at the receiver and a FIFO of its
+    in-flight messages; each MRAI timer, indexed by edge id × [procs] +
+    process, keeps its interval, the next allowed announcement time and a
+    flush-scheduled flag; an engine's per-neighbour state is indexed by
+    slot ({!Topology.slot}). Deliveries and flushes are {!Sim} integer
+    events (edge id, timer index) for handlers installed once: the
+    per-message path builds no closure and hashes nothing.
 
     Reproducibility contract: {!create} draws one RNG float per MRAI
     timer, in increasing edge id and then process order — edge ids follow
     vertices × neighbors order, the order every engine has always used;
-    {!send} and {!advertise} draw one float per message sent. Any
+    {!send} draws one float per message sent. Any
     reordering would shift every later draw and change every pinned
     experiment number. *)
 
@@ -34,6 +36,7 @@ val create :
   ?procs:int ->
   trace:Trace.sink ->
   who:string ->
+  blank:'msg ->
   Sim.t ->
   Topology.t ->
   'msg t
@@ -49,10 +52,12 @@ val create :
     ASN space; with {!Trace.null} every emission site reduces to one
     branch, and traced runs are bit-identical to untraced ones (tracing
     draws no randomness and schedules nothing). [who] prefixes error
-    messages (["Bgp_net.fail_link: vertices not adjacent"]).
+    messages (["Bgp_net.fail_link: vertices not adjacent"]). [blank], any
+    message, fills the free queue cells. The core installs the
+    simulation's integer-event handler ({!Sim.on_event}).
     @raise Invalid_argument on a negative [mrai_base]
-    (["<who>.create: negative MRAI base"]) or [detect_delay], or a
-    non-positive [procs]. *)
+    (["<who>.create: negative MRAI base"]) or [detect_delay], a
+    non-positive [procs], or a simulation that already carries a core. *)
 
 val on_receive :
   'msg t ->
@@ -76,30 +81,36 @@ val send :
   unit
 (** Send one message to the neighbour in [src]'s [slot], bumping the
     matching counter.
-    Used directly for updates outside the MRAI regime (R-BGP failover
-    paths, STAMP's immediate policy withdrawals); regular best-route
-    deltas go through {!advertise}. *)
+    Also used directly outside the MRAI regime (R-BGP failover paths,
+    STAMP's immediate policy withdrawals). *)
+
+type verdict =
+  | Idle  (** nothing to send *)
+  | Deferred  (** an announcement is due but MRAI holds it back *)
+  | Withdraw  (** send a withdrawal now *)
+  | Announce  (** send an announcement now *)
 
 val advertise :
   'msg t ->
-  ?proc:int ->
+  proc:int ->
   src:Topology.vertex ->
   slot:int ->
-  rib_out:'adv option array ->
-  desired:'adv option ->
-  announce:('adv -> 'msg) ->
-  withdraw:(unit -> 'msg) ->
-  retry:(unit -> unit) ->
-  unit ->
-  unit
-(** The shared advertisement skeleton for the neighbour in [src]'s
-    [slot]: compare [desired] (what it should currently hear, [None] for
-    nothing) against [rib_out.(slot)], the record of what it last heard,
-    then send the delta — withdrawals immediately, announcements under the
-    [(src, slot, proc)] MRAI timer, deferring with a single scheduled flush
-    when the timer is not ready. [retry] must re-enter the engine's own
-    advertise path (so the desired value is recomputed when the flush
-    fires). No-op while the link is down. *)
+  heard:bool ->
+  wants:bool ->
+  same:bool ->
+  verdict
+(** What to tell the neighbour in [src]'s [slot], given whether it [heard]
+    something last, [wants] something now, and both are the [same]:
+    withdrawals go at once, announcements under the [(src, slot, proc)]
+    MRAI timer. A deferral is counted, traced and flushed once, through
+    the {!on_flush} handler. On {!Withdraw} or {!Announce} the engine
+    records what the neighbour hears and {!send}s the message. {!Idle}
+    while the link is down. *)
+
+val on_flush :
+  'msg t -> (src:Topology.vertex -> slot:int -> proc:int -> unit) -> unit
+(** Install the engine's flush handler: it re-advertises to [src]'s
+    [slot] on process [proc] when a deferred MRAI flush fires. *)
 
 val flush_pending :
   'msg t -> proc:int -> src:Topology.vertex -> slot:int -> bool
@@ -219,16 +230,17 @@ val trace_enabled : 'msg t -> bool
 val note_decision :
   'msg t ->
   node:Topology.vertex ->
-  old_next:Topology.vertex option ->
-  new_next:Topology.vertex option ->
+  old_next:Topology.vertex ->
+  new_next:Topology.vertex ->
+  prefix:string ->
   cause:string ->
   unit
 (** Record a best-route change: moves {!last_change}, marks [node] dirty
-    ({!mark_fwd}) and emits a {!Trace.Decision} event at
-    the router (next hops are translated to ASN space; [None] = no route
-    or the origin's own route). The side effects other than the event are
-    unconditional, so engines call this at every best-route change whether
-    or not tracing is on. *)
+    ({!mark_fwd}) and emits a {!Trace.Decision} event at the router, with
+    cause [prefix ^ cause] (next hops are translated to ASN space; [-1] =
+    no route or the origin's own route). The side effects other than the
+    event are unconditional, so engines call this at every best-route
+    change whether or not tracing is on. *)
 
 val emit_node : 'msg t -> Topology.vertex -> Trace.kind -> unit
 (** Emit an engine-specific event located at a router (ASN-translated),

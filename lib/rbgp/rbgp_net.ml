@@ -19,6 +19,7 @@ type router = {
   export_deny : bool array;  (** by slot *)
   mutable known_causes : cause list;
   mutable last_cause : cause option;
+  mutable pick : int;  (** the failover pick's slot at the last pick, or -1 *)
 }
 
 type t = {
@@ -27,6 +28,8 @@ type t = {
   dest : Topology.vertex;
   rci : bool;
   routers : router array;
+  on_best : int array;  (** by vertex: [epoch] if on the scored best path *)
+  mutable epoch : int;
 }
 
 let cause_equal a b =
@@ -51,22 +54,39 @@ let path_hits_cause path cause =
 (* --- primary-route advertisement (shared Session_core skeleton) ------ *)
 
 (* [i] is the neighbour's slot at the router. *)
-let rec advertise_to t r i =
+let advertise_to t r i =
   let p = r.proc in
-  let desired =
-    if r.export_deny.(i) then None
-    else
-      let n, to_rel = (Topology.neighbors t.topo p.self).(i) in
-      Process.export p ~to_:n ~to_rel
-  in
-  Session_core.advertise t.core ~src:p.self ~slot:i ~rib_out:p.rib_out
-    ~desired
-    ~announce:(fun path -> Announce { path; rci = r.last_cause })
-    ~withdraw:(fun () -> Withdraw { rci = r.last_cause })
-    ~retry:(fun () -> advertise_to t r i)
-    ()
+  let n, to_rel = (Topology.neighbors t.topo p.self).(i) in
+  match
+    Process.advertise p t.core ~slot:i ~to_:n ~to_rel ~deny:r.export_deny.(i)
+  with
+  | Announce ->
+    Session_core.send t.core ~src:p.self ~slot:i ~kind:`Announce
+      (Announce { path = Option.get p.rib_out.(i); rci = r.last_cause })
+  | Withdraw ->
+    Session_core.send t.core ~src:p.self ~slot:i ~kind:`Withdraw
+      (Withdraw { rci = r.last_cause })
+  | Idle | Deferred -> ()
 
 (* --- failover-path advertisement ------------------------------------ *)
+
+(* Scoring against a best path in O(path length): mark its vertices with a
+   fresh epoch, then count an alternate's marked vertices. *)
+let rec mark t = function
+  | [] -> ()
+  | x :: rest ->
+    t.on_best.(x) <- t.epoch;
+    mark t rest
+
+let mark_best t (b : Route.t) =
+  t.epoch <- t.epoch + 1;
+  mark t b.as_path
+
+let rec count t n = function
+  | [] -> n
+  | x :: rest -> count t (if t.on_best.(x) = t.epoch then n + 1 else n) rest
+
+let shared t (alt : Route.t) = count t 0 alt.as_path
 
 (* The failover path goes to the best route's next hop, unless export to
    it is denied: the most disjoint alternate, by fewest vertices shared
@@ -75,25 +95,25 @@ let rec advertise_to t r i =
    not appear in the alternate. *)
 let update_failover t r =
   let p = r.proc in
+  r.pick <- -1;
   let desired =
     match p.best with
     | None -> None
     | Some b -> begin
-      match Route.learned_from b with
-      | None -> None (* destination itself *)
-      | Some nh when r.export_deny.(Topology.slot t.topo p.self nh) -> None
-      | Some nh -> begin
+      match b.as_path with
+      | [] -> None (* destination itself *)
+      | nh :: _ when r.export_deny.(Topology.slot t.topo p.self nh) -> None
+      | nh :: _ -> begin
+        mark_best t b;
         match
           Process.alternate p
             ~admit:(fun alt -> not (Route.contains alt nh))
-            ~score:(fun alt ->
-              List.fold_left
-                (fun shared x ->
-                  if List.mem x b.as_path then shared + 1 else shared)
-                0 alt.as_path)
+            ~score:(shared t)
         with
         | None -> None
-        | Some alt -> Some (nh, p.self :: alt.as_path)
+        | Some alt ->
+          r.pick <- Topology.slot t.topo p.self (List.hd alt.as_path);
+          Some (nh, p.self :: alt.as_path)
       end
     end
   in
@@ -119,6 +139,26 @@ let update_failover t r =
         (Failover { path = Some path; rci = r.last_cause })
     | Some _ | None -> ());
     r.failover_out <- desired
+
+(* The entry in [slot] changed and the best route did not: whether the
+   failover pick can move. It is the unique minimum of (score, decision
+   order) over the admissible entries, so only a change of the picked
+   slot, or an admissible entry that now beats the pick, can move it. *)
+let pick_moved t r ~slot =
+  let p = r.proc in
+  slot = r.pick
+  ||
+  match (p.best, Process.entry p ~slot) with
+  | Some ({ as_path = nh :: _; _ } as b), Some e
+    when (not r.export_deny.(Topology.slot t.topo p.self nh))
+         && not (Route.contains e nh) ->
+    r.pick < 0
+    ||
+    let pick = Option.get (Process.entry p ~slot:r.pick) in
+    mark_best t b;
+    let s = shared t e and s' = shared t pick in
+    s < s' || (s = s' && Decision.better e pick)
+  | _ -> false
 
 let advertise_all t r =
   for i = 0 to Topology.degree t.topo r.proc.self - 1 do
@@ -153,18 +193,20 @@ let learn_cause t r cause =
 let stale t r path =
   t.rci && List.exists (fun c -> path_hits_cause path c) r.known_causes
 
-let recompute t r =
+(* [changed] is the one slot whose entry changed since the last decision,
+   or -1 when others may have. *)
+let recompute t r ~changed =
   let p = r.proc in
   let old = p.best in
   let best' = if p.self = t.dest then Some Route.origin else Process.select p in
-  if Process.decide p t.core best' then begin
+  if Process.decide ~prefix:"" p t.core best' then begin
     (match (old, best') with
     | Some old, None -> r.withdrawn <- Some old
     | _, Some _ -> r.withdrawn <- None
     | None, None -> ());
     advertise_all t r
   end
-  else update_failover t r
+  else if changed < 0 || pick_moved t r ~slot:changed then update_failover t r
 
 let receive t r ~slot msg =
   if Session_core.node_up t.core r.proc.self then begin
@@ -173,14 +215,15 @@ let receive t r ~slot msg =
       | Announce { rci; _ } | Withdraw { rci } | Failover { rci; _ } -> rci
     in
     let purged = match rci with Some c -> learn_cause t r c | None -> false in
+    let changed = if purged then -1 else slot in
     match msg with
     | Announce { path; _ } when not (stale t r path) ->
       let cls = snd (Topology.neighbors t.topo r.proc.self).(slot) in
-      Process.learn r.proc ~slot { as_path = path; cls };
-      recompute t r
+      Process.learn r.proc ~slot (Route.make ~cls path);
+      recompute t r ~changed
     | Announce _ | Withdraw _ ->
       Process.withdraw r.proc ~slot;
-      recompute t r
+      recompute t r ~changed
     | Failover { path; _ } ->
       Session_core.mark_fwd t.core r.proc.self;
       r.failover_rib.(slot) <-
@@ -189,7 +232,8 @@ let receive t r ~slot msg =
          export policy, none of which a failover path moves: only a purge
          can, or a decision still owed for a route that a recovery inside
          the detection window forgot (see [recover_link]) *)
-      if purged || Process.select r.proc != r.proc.best then recompute t r
+      if purged || Process.select r.proc != r.proc.best then
+        recompute t r ~changed:(-1)
   end
 
 (* --- forwarding ------------------------------------------------------- *)
@@ -259,20 +303,25 @@ let create sim topo ~dest ~rci ?(mrai_base = 30.) ?(detect_delay = 0.)
           export_deny = Array.make degree false;
           known_causes = [];
           last_cause = None;
+          pick = -1;
         })
   in
   let core =
-    Session_core.create ~mrai_base ~detect_delay ~trace
-      ~who:"Rbgp_net" sim topo
+    Session_core.create ~mrai_base ~detect_delay ~trace ~who:"Rbgp_net"
+      ~blank:(Withdraw { rci = None }) sim topo
   in
-  let t = { core; topo; dest; rci; routers } in
+  let t =
+    { core; topo; dest; rci; routers; on_best = Array.make n 0; epoch = 0 }
+  in
   Session_core.on_receive core (fun ~src:_ ~dst ~slot msg ->
       receive t t.routers.(dst) ~slot msg);
+  Session_core.on_flush core (fun ~src ~slot ~proc:_ ->
+      advertise_to t t.routers.(src) slot);
   Session_core.on_forward core ~dest ~num_states:1
     ~start:(fun _ -> 0) ~step:(step t);
   t
 
-let start t = recompute t t.routers.(t.dest)
+let start t = recompute t t.routers.(t.dest) ~changed:(-1)
 
 (* Session reset at [r] with [peer], failover paths included. *)
 let reset_session t r peer =
@@ -312,8 +361,8 @@ let fail_link t u v =
          [last_cause] and purges only under RCI *)
       ignore (learn_cause t t.routers.(u) cause : bool);
       ignore (learn_cause t t.routers.(v) cause : bool);
-      recompute t t.routers.(u);
-      recompute t t.routers.(v))
+      recompute t t.routers.(u) ~changed:(-1);
+      recompute t t.routers.(v) ~changed:(-1))
 
 let recover_link t u v =
   Session_core.mark_all_fwd t.core;
@@ -337,7 +386,7 @@ let fail_node t v =
       let rn = t.routers.(n) in
       reset_session t rn v;
       ignore (learn_cause t rn cause : bool);
-      recompute t rn)
+      recompute t rn ~changed:(-1))
     (Topology.neighbors t.topo v)
 
 let recover_node t v =
@@ -350,7 +399,7 @@ let recover_node t v =
   clear_cause t (Node v);
   (* re-originates if [v] is the destination; otherwise waits for
      neighbours to re-announce *)
-  recompute t r;
+  recompute t r ~changed:(-1);
   Array.iteri
     (fun i (n, _) ->
       advertise_to t t.routers.(n) (Topology.slot t.topo n v);

@@ -1,15 +1,12 @@
 (* A binary min-heap kept as a struct of arrays: times unboxed in a
-   [Float.Array], insertion sequence numbers in an [int array], payloads in
-   a slot array. Sifting moves a hole instead of swapping, so each level
-   costs one write per array. Slots at or beyond [size] hold [Empty]: a
-   popped event's payload (a closure capturing engine state, in a
-   simulation) must not stay reachable from the heap. *)
-type 'a slot = Empty | Full of 'a
-
-type 'a t = {
+   [Float.Array], insertion sequence numbers and int payloads in [int
+   array]s. Sifting moves a hole instead of swapping, so each level costs
+   one write per array, and no write is a pointer: the heap holds no
+   value the collector must trace. *)
+type t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;
-  mutable payloads : 'a slot array;
+  mutable payloads : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -31,7 +28,7 @@ let grow t =
     Float.Array.blit t.times 0 times 0 t.size;
     let seqs = Array.make cap' 0 in
     Array.blit t.seqs 0 seqs 0 t.size;
-    let payloads = Array.make cap' Empty in
+    let payloads = Array.make cap' 0 in
     Array.blit t.payloads 0 payloads 0 t.size;
     t.times <- times;
     t.seqs <- seqs;
@@ -67,7 +64,7 @@ let push t ~time payload =
     move t ~src:parent ~dst:!i;
     i := parent
   done;
-  place t !i ~time ~seq (Full payload)
+  place t !i ~time ~seq payload
 
 let next_time t =
   if t.size = 0 then invalid_arg "Event_heap.next_time: empty heap";
@@ -89,7 +86,6 @@ let take t =
     let time = Float.Array.unsafe_get t.times last
     and seq = Array.unsafe_get t.seqs last
     and payload = Array.unsafe_get t.payloads last in
-    Array.unsafe_set t.payloads last Empty;
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -115,16 +111,7 @@ let take t =
     done;
     place t !i ~time ~seq payload
   end;
-  match top with Full x -> x | Empty -> assert false
-
-let pop_min t =
-  if t.size = 0 then None
-  else
-    let time = Float.Array.unsafe_get t.times 0 in
-    Some (time, take t)
-
-let peek_time t =
-  if t.size = 0 then None else Some (Float.Array.unsafe_get t.times 0)
+  top
 
 let size t = t.size
 let is_empty t = t.size = 0

@@ -1,5 +1,7 @@
 (** Discrete-event simulation engine: a virtual clock, a deterministic RNG
-    and an event queue of callbacks.
+    and an event queue of callbacks and of integer events, which run in
+    one handler ({!on_event}) and allocate nothing. Equal-time events of
+    either kind run in the order they were scheduled.
 
     All protocol engines in this repository (BGP, R-BGP, STAMP) are driven
     by one [Sim.t] per experiment run. Reproducibility contract: the same
@@ -24,6 +26,14 @@ val schedule : t -> delay:float -> (t -> unit) -> unit
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Run a callback at an absolute time.
     @raise Invalid_argument if [time] precedes the current time. *)
+
+val on_event : t -> (int -> unit) -> unit
+(** Install the handler of integer events; one per simulation.
+    @raise Invalid_argument if a handler is already installed. *)
+
+val schedule_event : t -> time:float -> int -> unit
+(** Queue the integer event [p] at an absolute time.
+    @raise Invalid_argument if [time] is past or [p] negative. *)
 
 val step : t -> bool
 (** Process the earliest pending event; [false] when the queue is empty. *)

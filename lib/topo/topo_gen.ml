@@ -41,54 +41,60 @@ let draw_provider_count st ~base ~q ~cap =
   let rec loop k = if k >= cap || Random.State.float st 1. >= q then k else loop (k + 1) in
   loop base
 
-(* Weighted choice of [k] distinct provider ASNs among candidates, with
-   weight (customer count + 1) — preferential attachment. [customer_count]
-   is indexed by ASN. *)
-let choose_providers st ~k ~candidates ~customer_count =
-  let chosen = Hashtbl.create 8 in
-  let total_weight () =
-    Array.fold_left
-      (fun acc asn ->
-        if Hashtbl.mem chosen asn then acc
-        else acc +. float_of_int (customer_count.(asn) + 1))
-      0. candidates
-  in
-  let pick () =
-    let total = total_weight () in
-    if total <= 0. then None
-    else begin
-      let r = Random.State.float st total in
-      let acc = ref 0. in
-      let found = ref None in
-      (try
-         Array.iter
-           (fun asn ->
-             if not (Hashtbl.mem chosen asn) then begin
-               acc := !acc +. float_of_int (customer_count.(asn) + 1);
-               if r < !acc then begin
-                 found := Some asn;
-                 raise Exit
-               end
-             end)
-           candidates
-       with Exit -> ());
-      (* numeric slack: fall back to the last unchosen candidate *)
-      match !found with
-      | Some _ as s -> s
-      | None ->
-        Array.fold_left
-          (fun acc asn -> if Hashtbl.mem chosen asn then acc else Some asn)
-          None candidates
-    end
-  in
+(* The transit ASNs' attachment weights (customer count + 1, or 0 while
+   chosen in the current draw), 1-based by ASN, with a Fenwick tree of
+   their prefix sums: a weighted draw costs O(log n), not a scan of every
+   candidate. Integer sums are exact, so the draws are those of a scan. *)
+type weights = { w : int array; tree : int array }
+
+let add ws asn d =
+  ws.w.(asn) <- ws.w.(asn) + d;
+  let i = ref asn in
+  while !i < Array.length ws.tree do
+    ws.tree.(!i) <- ws.tree.(!i) + d;
+    i := !i + (!i land - !i)
+  done
+
+let prefix ws m =
+  let sum = ref 0 and i = ref m in
+  while !i > 0 do
+    sum := !sum + ws.tree.(!i);
+    i := !i - (!i land - !i)
+  done;
+  !sum
+
+(* The first ASN whose prefix sum exceeds [r]. *)
+let search ws r =
+  let n = Array.length ws.tree - 1 in
+  let pos = ref 0 and rem = ref r and step = ref 1 in
+  while 2 * !step <= n do
+    step := 2 * !step
+  done;
+  while !step > 0 do
+    let next = !pos + !step in
+    if next <= n && ws.tree.(next) <= !rem then begin
+      pos := next;
+      rem := !rem - ws.tree.(next)
+    end;
+    step := !step / 2
+  done;
+  !pos + 1
+
+(* Weighted choice of [k] distinct provider ASNs among the candidates
+   [1..m] — preferential attachment. *)
+let choose_providers st ~k ~m ws =
   let rec loop i acc =
-    if i = 0 then acc
-    else
-      match pick () with
-      | None -> acc
-      | Some asn ->
-        Hashtbl.replace chosen asn ();
-        loop (i - 1) (asn :: acc)
+    let total = prefix ws m in
+    if i = 0 || total <= 0 then acc
+    else begin
+      let r = Random.State.float st (float_of_int total) in
+      let asn = search ws (int_of_float r) in
+      (* numeric slack: fall back to the last unchosen candidate *)
+      let rec last a = if ws.w.(a) > 0 then a else last (a - 1) in
+      let asn = if asn <= m then asn else last m in
+      add ws asn (-ws.w.(asn));
+      loop (i - 1) (asn :: acc)
+    end
   in
   loop k []
 
@@ -105,7 +111,12 @@ let generate p =
   (* ASNs: tier-1 = 1..n_tier1, mid = n_tier1+1 .. n_tier1+n_mid, stubs after. *)
   let t1_lo = 1 and t1_hi = p.n_tier1 in
   let mid_lo = t1_hi + 1 and mid_hi = t1_hi + n_mid in
-  let customer_count = Array.make (p.n + 1) 0 in
+  let ws =
+    { w = Array.make (mid_hi + 1) 0; tree = Array.make (mid_hi + 1) 0 }
+  in
+  for asn = 1 to mid_hi do
+    add ws asn 1
+  done;
   (* Tier-1 clique: full mesh of peer links. *)
   for a = t1_lo to t1_hi do
     for a' = a + 1 to t1_hi do
@@ -114,22 +125,22 @@ let generate p =
   done;
   (* Special case: a single tier-1 has no links yet; attach it when its
      first customer arrives (below, candidates always include it). *)
-  let attach asn ~candidates ~base ~q =
+  let customers = Array.make (mid_hi + 1) 0 in
+  let attach asn ~m ~base ~q =
     let k = draw_provider_count st ~base ~q ~cap:p.max_providers in
-    let provs = choose_providers st ~k ~candidates ~customer_count in
+    let provs = choose_providers st ~k ~m ws in
     List.iter
       (fun prov ->
         Topology.Builder.add_p2c b ~provider:prov ~customer:asn;
-        customer_count.(prov) <- customer_count.(prov) + 1)
+        customers.(prov) <- customers.(prov) + 1;
+        (* chosen, so at weight 0 *)
+        add ws prov (customers.(prov) + 1))
       provs
   in
   (* Mid-tier ASes: providers among tier-1s and earlier mid ASes. *)
   for asn = mid_lo to mid_hi do
-    let candidates =
-      Array.init (asn - 1) (fun i -> i + 1)
-      (* all ASNs < asn are tier-1 or earlier mid: transit-capable *)
-    in
-    attach asn ~candidates ~base:2 ~q:p.mid_extra_provider_prob
+    (* all ASNs < asn are tier-1 or earlier mid: transit-capable *)
+    attach asn ~m:(asn - 1) ~base:2 ~q:p.mid_extra_provider_prob
   done;
   (* Lateral peering among mid-tier ASes. *)
   if n_mid >= 2 && p.peers_per_mid > 0. then begin
@@ -151,10 +162,8 @@ let generate p =
     done
   end;
   (* Stub ASes: providers among all transit ASes (tier-1 + mid). *)
-  let transit_candidates = Array.init mid_hi (fun i -> i + 1) in
   for asn = mid_hi + 1 to p.n do
-    attach asn ~candidates:transit_candidates ~base:1
-      ~q:p.stub_extra_provider_prob
+    attach asn ~m:mid_hi ~base:1 ~q:p.stub_extra_provider_prob
   done;
   ignore n_stub;
   Topology.Builder.build b

@@ -109,7 +109,7 @@ let session_core ?(seed = 1) ?(mrai_base = 30.) topo =
   let sim = Sim.create ~seed () in
   let core =
     Session_core.create ~mrai_base ~detect_delay:0. ~trace:Trace.null
-      ~who:"Test" sim topo
+      ~who:"Test" ~blank:0 sim topo
   in
   let received = ref [] in
   Session_core.on_receive core (fun ~src:_ ~dst:_ ~slot:_ m ->
@@ -126,10 +126,22 @@ let session_pair ?seed ?mrai_base () =
   (sim, core, send, received)
 
 (* Advertise [desired] from [src] to its neighbour in [slot] through the
-   MRAI path; a deferred flush runs [retry]. *)
+   MRAI path, recording what it heard in [rib_out] as an engine does; a
+   deferred flush runs [retry] (installed as the core's flush handler). *)
 let advertise core ~src ~slot ~rib_out desired ~retry =
-  Session_core.advertise core ~src ~slot ~rib_out ~desired ~announce:Fun.id
-    ~withdraw:(fun () -> 0) ~retry ()
+  Session_core.on_flush core (fun ~src:_ ~slot:_ ~proc:_ -> retry ());
+  match
+    Session_core.advertise core ~proc:0 ~src ~slot
+      ~heard:(Option.is_some rib_out.(slot))
+      ~wants:(Option.is_some desired) ~same:(desired = rib_out.(slot))
+  with
+  | Announce ->
+    rib_out.(slot) <- desired;
+    Session_core.send core ~src ~slot ~kind:`Announce (Option.get desired)
+  | Withdraw ->
+    rib_out.(slot) <- None;
+    Session_core.send core ~src ~slot ~kind:`Withdraw 0
+  | Idle | Deferred -> ()
 
 (* Alcotest/QCheck glue: register a QCheck2 property as an alcotest case. *)
 let qtest ?(count = 50) name gen print prop =

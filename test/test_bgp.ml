@@ -8,7 +8,7 @@ let vtx = Test_support.vtx
 
 (* --- Decision --------------------------------------------------------- *)
 
-let route path cls = { Route.as_path = path; cls }
+let route path cls = Route.make ~cls path
 
 let test_decision_prefers_customer () =
   let customer = route [ 9; 0 ] Relationship.Customer in

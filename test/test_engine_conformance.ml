@@ -414,6 +414,44 @@ let test_engine_pins () =
        ENGINE_PINS=$PWD/test/golden after a deliberate change)"
       [] (List.map fst moved)
 
+(* --- allocation guard ------------------------------------------------- *)
+
+(* Minor words per initial-convergence event of each engine, on one fixed
+   generated graph (n = 300, seed 1), in the profile [dune runtest] builds.
+   Each bound is 1.25x the value measured once deliveries, MRAI flushes
+   and no-op advertisements stopped allocating closures and options; the
+   values before were 75.1 (BGP), 111.4 and 115.2 (R-BGP without and with
+   RCI), 116.9 (STAMP) and 244.5 (hybrid, whose backup scoring dominates).
+   A closure back on that path exceeds the bound. *)
+let alloc_bounds =
+  [
+    ("BGP", 50.8);
+    ("R-BGP without RCI", 67.1);
+    ("R-BGP", 70.8);
+    ("STAMP", 62.2);
+    ("STAMP-BGP hybrid (full deployment)", 220.1);
+  ]
+
+let test_alloc_guard () =
+  let topo = Topo_gen.generate (Topo_gen.default_params ~seed:1 ~n:300 ()) in
+  let dest = Topology.num_vertices topo - 1 in
+  List.iter
+    (fun (name, engine) ->
+      let sim = Sim.create ~seed:1 () in
+      let inst = Engine.create engine sim topo ~dest Engine.default_config in
+      let before = Gc.minor_words () in
+      Engine.start inst;
+      Sim.run sim;
+      let per_event =
+        (Gc.minor_words () -. before) /. float_of_int (Sim.events_processed sim)
+      in
+      let bound = 1.25 *. List.assoc name alloc_bounds in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per event <= %.1f" name
+           per_event bound)
+        true (per_event <= bound))
+    Runner.engines
+
 let () =
   Alcotest.run "engine_conformance"
     [
@@ -433,5 +471,10 @@ let () =
         [
           Alcotest.test_case "traces and results, every engine" `Quick
             test_engine_pins;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words per convergence event" `Quick
+            test_alloc_guard;
         ] );
     ]

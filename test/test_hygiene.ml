@@ -123,7 +123,7 @@ let rules =
       patterns = [ "adj_rib_in" ];
       dirs = [ "lib" ];
       allowed = contains_fragment [ "bgp/process.ml" ];
-      why = "go through Process (learn/withdraw/forget/clear/purge/exists)";
+      why = "go through Process (learn/withdraw/forget/clear/purge/entry)";
     };
     (* Engines probe the forwarding plane through Session_core, whose
        dirty set decides what a probe re-walks; an engine walking on its

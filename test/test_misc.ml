@@ -43,7 +43,7 @@ let test_gen_tiny () =
 let render pp v = Format.asprintf "%a" pp v
 
 let test_route_pp () =
-  let r = { Route.as_path = [ 1; 2; 3 ]; cls = Relationship.Peer } in
+  let r = Route.make ~cls:Relationship.Peer [ 1; 2; 3 ] in
   Alcotest.(check string) "route" "[1 2 3] via peer" (render Route.pp r)
 
 let test_relationship_pp () =

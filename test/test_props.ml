@@ -6,7 +6,7 @@ let gen_route =
     let* len = int_range 1 6 in
     let* path = list_repeat len (int_range 0 50) in
     let* cls = oneofl [ Relationship.Customer; Relationship.Peer; Relationship.Provider ] in
-    return { Route.as_path = path; cls })
+    return (Route.make ~cls path))
 
 let print_route r = Format.asprintf "%a" Route.pp r
 
@@ -103,7 +103,7 @@ let gen_rib_ops =
             and* rest = list_size (int_range 0 3) (int_range 0 8)
             and* loop = frequencyl [ (5, []); (1, [ 99 ]) ] in
             let as_path = ((20 - slot) :: rest) @ loop in
-            return (Learn (slot, { Route.as_path; cls })) );
+            return (Learn (slot, Route.make ~cls as_path)) );
           (2, return (Withdraw slot));
           (1, return (Forget slot));
           (1, return Clear);
@@ -119,10 +119,13 @@ let prop_select_cache =
     gen_rib_ops
     QCheck2.Print.(pair int (list (pair print_rib_op bool)))
     (fun (degree, ops) ->
-      let p = Process.create 99 ~degree ~route:Fun.id in
+      (* the flag count is kept at the same writes *)
+      let flag (r : Route.t) = r.cls = Relationship.Peer in
+      let p = Process.create 99 ~degree ~route:Fun.id ~flag in
       let agrees () =
-        Process.select p
-        = Decision.select (List.filter_map Fun.id (Array.to_list p.adj_rib_in))
+        let entries = List.filter_map Fun.id (Array.to_list p.adj_rib_in) in
+        Process.select p = Decision.select entries
+        && p.flagged = List.length (List.filter flag entries)
       in
       List.for_all
         (fun (op, check) ->
@@ -231,9 +234,10 @@ let prop_heap_is_stable_sort =
       let h = Event_heap.create () in
       List.iteri (fun i t -> Event_heap.push h ~time:(float_of_int t) i) times;
       let rec drain acc =
-        match Event_heap.pop_min h with
-        | None -> List.rev acc
-        | Some (t, i) -> drain ((t, i) :: acc)
+        if Event_heap.is_empty h then List.rev acc
+        else
+          let t = Event_heap.next_time h in
+          drain ((t, Event_heap.take h) :: acc)
       in
       let got = drain [] in
       let expected =

@@ -2,16 +2,23 @@
 
 (* --- Event_heap ------------------------------------------------------ *)
 
+(* [Event_heap.next_time] and [take] in one call; [None] when empty. *)
+let pop_min h =
+  if Event_heap.is_empty h then None
+  else
+    let time = Event_heap.next_time h in
+    Some (time, Event_heap.take h)
+
 let test_heap_ordering () =
   let h = Event_heap.create () in
-  Event_heap.push h ~time:3. "c";
-  Event_heap.push h ~time:1. "a";
-  Event_heap.push h ~time:2. "b";
-  let pop () = Option.get (Event_heap.pop_min h) in
-  Alcotest.(check (pair (float 0.) string)) "first" (1., "a") (pop ());
-  Alcotest.(check (pair (float 0.) string)) "second" (2., "b") (pop ());
-  Alcotest.(check (pair (float 0.) string)) "third" (3., "c") (pop ());
-  Alcotest.(check bool) "empty" true (Event_heap.pop_min h = None)
+  Event_heap.push h ~time:3. 2;
+  Event_heap.push h ~time:1. 0;
+  Event_heap.push h ~time:2. 1;
+  let pop () = Option.get (pop_min h) in
+  Alcotest.(check (pair (float 0.) int)) "first" (1., 0) (pop ());
+  Alcotest.(check (pair (float 0.) int)) "second" (2., 1) (pop ());
+  Alcotest.(check (pair (float 0.) int)) "third" (3., 2) (pop ());
+  Alcotest.(check bool) "empty" true (pop_min h = None)
 
 let test_heap_fifo_ties () =
   let h = Event_heap.create () in
@@ -19,7 +26,7 @@ let test_heap_fifo_ties () =
     Event_heap.push h ~time:1. i
   done;
   for i = 0 to 9 do
-    match Event_heap.pop_min h with
+    match pop_min h with
     | Some (_, x) -> Alcotest.(check int) "fifo" i x
     | None -> Alcotest.fail "heap empty"
   done
@@ -27,53 +34,55 @@ let test_heap_fifo_ties () =
 let test_heap_nan_rejected () =
   let h = Event_heap.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Event_heap.push: NaN time")
-    (fun () -> Event_heap.push h ~time:Float.nan ())
+    (fun () -> Event_heap.push h ~time:Float.nan 0)
 
 let test_heap_peek () =
   let h = Event_heap.create () in
-  Alcotest.(check bool) "empty peek" true (Event_heap.peek_time h = None);
-  Event_heap.push h ~time:5. ();
-  Alcotest.(check bool) "peek" true (Event_heap.peek_time h = Some 5.);
+  Alcotest.check_raises "empty peek"
+    (Invalid_argument "Event_heap.next_time: empty heap") (fun () ->
+      ignore (Event_heap.next_time h : float));
+  Event_heap.push h ~time:5. 0;
+  Alcotest.(check (float 0.)) "peek" 5. (Event_heap.next_time h);
   Alcotest.(check int) "size" 1 (Event_heap.size h)
 
-(* A popped payload must not stay reachable from the heap. Pushing times
-   1, 5, 2 and popping twice moves the time-2 cell through the root into a
-   slot past the end: a heap that leaves vacated slots as they are keeps
-   it alive there, next to the still-queued time-5 event. The helpers are
-   not inlined so no stack slot of the test holds a payload. *)
-let[@inline never] push_tracked h weak i ~time =
+(* A callback that has run must not stay reachable from the queue: the
+   heap holds ints, and the simulation's table of pending callbacks must
+   let go of a taken one. Scheduling times 1, 5, 2 and stepping twice
+   takes two callbacks while the time-5 one is still queued. The helpers
+   are not inlined so no stack slot of the test holds a payload. *)
+let[@inline never] schedule_tracked sim weak i ~time =
   let payload = ref time in
   Weak.set weak i (Some payload);
-  Event_heap.push h ~time payload
+  Sim.schedule_at sim ~time (fun _ -> payload := !payload +. 1.)
 
-let[@inline never] pop_time h =
-  match Event_heap.pop_min h with Some (t, _) -> t | None -> nan
+let[@inline never] step_time sim =
+  if Sim.step sim then Sim.now sim else nan
 
 let collected weak i =
   Gc.full_major ();
   not (Weak.check weak i)
 
 let test_heap_releases_popped () =
-  let h = Event_heap.create () in
+  let sim = Sim.create () in
   let weak = Weak.create 4 in
-  push_tracked h weak 0 ~time:1.;
-  push_tracked h weak 1 ~time:5.;
-  push_tracked h weak 2 ~time:2.;
-  Alcotest.(check (float 0.)) "first pop" 1. (pop_time h);
-  Alcotest.(check (float 0.)) "second pop" 2. (pop_time h);
-  Alcotest.(check bool) "first popped payload collectable" true
+  schedule_tracked sim weak 0 ~time:1.;
+  schedule_tracked sim weak 1 ~time:5.;
+  schedule_tracked sim weak 2 ~time:2.;
+  Alcotest.(check (float 0.)) "first step" 1. (step_time sim);
+  Alcotest.(check (float 0.)) "second step" 2. (step_time sim);
+  Alcotest.(check bool) "first taken payload collectable" true
     (collected weak 0);
   Alcotest.(check bool) "queued payload alive" false (collected weak 1);
-  Alcotest.(check bool) "second popped payload collectable" true
+  Alcotest.(check bool) "second taken payload collectable" true
     (collected weak 2);
-  Alcotest.(check (float 0.)) "queued event pops next" 5. (pop_time h);
-  Alcotest.(check bool) "payload popped last collectable (heap empty)" true
+  Alcotest.(check (float 0.)) "queued event runs next" 5. (step_time sim);
+  Alcotest.(check bool) "payload taken last collectable (queue empty)" true
     (collected weak 1);
-  (* a single event, pushed into and popped out of an empty heap *)
-  push_tracked h weak 3 ~time:0.;
-  Alcotest.(check (float 0.)) "sole pop" 0. (pop_time h);
+  (* a single event, scheduled into and taken out of an empty queue *)
+  schedule_tracked sim weak 3 ~time:6.;
+  Alcotest.(check (float 0.)) "sole step" 6. (step_time sim);
   Alcotest.(check bool) "sole payload collectable" true (collected weak 3);
-  Alcotest.(check int) "empty" 0 (Event_heap.size h)
+  Alcotest.(check int) "empty" 0 (Sim.pending sim)
 
 let prop_heap_sorts =
   Test_support.qtest "heap pops in nondecreasing time order"
@@ -81,11 +90,11 @@ let prop_heap_sorts =
     QCheck2.Print.(list float)
     (fun times ->
       let h = Event_heap.create () in
-      List.iter (fun t -> Event_heap.push h ~time:t ()) times;
+      List.iter (fun t -> Event_heap.push h ~time:t 0) times;
       let rec drain last =
-        match Event_heap.pop_min h with
+        match pop_min h with
         | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        | Some (t, _) -> t >= last && drain t
       in
       drain neg_infinity)
 
@@ -119,14 +128,14 @@ let prop_heap_model =
             incr next;
             Event_heap.size h = List.length !model
           | Pop -> (
-            let got = Event_heap.pop_min h in
+            let got = pop_min h in
             match !model with
             | [] -> got = None
             | top :: rest ->
               model := rest;
               got = Some top))
         ops
-      && List.for_all (fun top -> Event_heap.pop_min h = Some top) !model
+      && List.for_all (fun top -> pop_min h = Some top) !model
       && Event_heap.is_empty h)
 
 (* --- Sim -------------------------------------------------------------- *)
@@ -245,27 +254,53 @@ let test_sim_deterministic_rng () =
 
 let prop_sim_fifo_same_time =
   Test_support.qtest "same-timestamp events fire in schedule order"
-    QCheck2.Gen.(list_size (int_range 1 120) (int_range 0 3))
-    QCheck2.Print.(list int)
-    (fun buckets ->
-      (* few distinct times over many events: ties are the common case *)
+    QCheck2.Gen.(list_size (int_range 1 120) (pair (int_range 0 3) bool))
+    QCheck2.Print.(list (pair int bool))
+    (fun events ->
+      (* few distinct times over many events: ties are the common case;
+         callbacks and integer events interleave *)
       let sim = Sim.create () in
       let log = ref [] in
+      let fired i = log := (fst (List.nth events i), i) :: !log in
+      Sim.on_event sim fired;
       List.iteri
-        (fun i b ->
-          Sim.schedule sim
-            ~delay:(float_of_int b /. 10.)
-            (fun _ -> log := (b, i) :: !log))
-        buckets;
+        (fun i (b, int_event) ->
+          let delay = float_of_int b /. 10. in
+          if int_event then Sim.schedule_event sim ~time:delay i
+          else Sim.schedule sim ~delay (fun _ -> fired i))
+        events;
       Sim.run sim;
       let fired = List.rev !log in
       let expected =
         (* stable sort by time keeps schedule order within each tie *)
         List.stable_sort
           (fun (b1, _) (b2, _) -> compare b1 b2)
-          (List.mapi (fun i b -> (b, i)) buckets)
+          (List.mapi (fun i (b, _) -> (b, i)) events)
       in
       fired = expected)
+
+let test_sim_event_handler () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "no handler"
+    (Invalid_argument "Sim: no event handler installed") (fun () ->
+      Sim.schedule_event sim ~time:0. 0;
+      ignore (Sim.step sim : bool));
+  let got = ref [] in
+  Sim.on_event sim (fun p -> got := (p, Sim.now sim) :: !got);
+  Alcotest.check_raises "installed once"
+    (Invalid_argument "Sim.on_event: handler already installed") (fun () ->
+      Sim.on_event sim ignore);
+  Alcotest.check_raises "negative event"
+    (Invalid_argument "Sim.schedule_event: negative event") (fun () ->
+      Sim.schedule_event sim ~time:1. (-1));
+  Sim.schedule_event sim ~time:2. 7;
+  Sim.schedule_event sim ~time:1. 3;
+  Sim.run sim;
+  Alcotest.(check (list (pair int (float 0.))))
+    "by time" [ (3, 1.); (7, 2.) ] (List.rev !got);
+  Alcotest.check_raises "past"
+    (Invalid_argument "Sim.schedule_event: time in the past") (fun () ->
+      Sim.schedule_event sim ~time:1. 0)
 
 type sim_op = Op_schedule of int | Op_step | Op_run_until of int
 
@@ -372,6 +407,65 @@ let prop_channel_never_reorders =
       Sim.run sim;
       List.map fst (received ()) = List.init (List.length gaps) Fun.id)
 
+(* Every directed edge of the diamond at once: sends at random times from
+   random senders to random slots arrive, edge by edge, in send order. *)
+let prop_edge_fifo =
+  Test_support.qtest "per-edge FIFO under random send schedules"
+    QCheck2.Gen.(
+      tup2 small_nat
+        (list_size (int_range 1 60)
+           (tup3 (float_range 0. 0.03) (int_range 0 4) (int_range 0 2))))
+    QCheck2.Print.(tup2 int (list (tup3 float int int)))
+    (fun (seed, sends) ->
+      let topo = Test_support.diamond () in
+      let sim = Sim.create ~seed () in
+      let core =
+        Session_core.create ~mrai_base:0. ~detect_delay:0. ~trace:Trace.null
+          ~who:"Test" ~blank:(-1) sim topo
+      in
+      let got = ref [] in
+      Session_core.on_receive core (fun ~src ~dst ~slot:_ m ->
+          got := ((src, dst), m) :: !got);
+      let t = ref 0. and sent = ref [] in
+      List.iteri
+        (fun i (gap, src, k) ->
+          t := !t +. gap;
+          let slot = k mod Topology.degree topo src in
+          let dst = fst (Topology.neighbors topo src).(slot) in
+          sent := ((src, dst), i) :: !sent;
+          Sim.schedule_at sim ~time:!t (fun _ ->
+              Session_core.send core ~src ~slot ~kind:`Announce i))
+        sends;
+      Sim.run sim;
+      let on edge l =
+        List.filter_map (fun (e, m) -> if e = edge then Some m else None) l
+      in
+      List.length !got = List.length sends
+      && List.for_all
+           (fun (edge, _) -> on edge (List.rev !got) = on edge (List.rev !sent))
+           !sent)
+
+(* A delivered message is not kept alive by the session core's queues. *)
+let[@inline never] send_tracked core weak ~src =
+  let m = ref 0 in
+  Weak.set weak 0 (Some m);
+  Session_core.send core ~src ~slot:0 ~kind:`Announce m
+
+let test_delivered_collectable () =
+  let topo = Test_support.chain 2 in
+  let sim = Sim.create () in
+  let core =
+    Session_core.create ~mrai_base:0. ~detect_delay:0. ~trace:Trace.null
+      ~who:"Test" ~blank:(ref 0) sim topo
+  in
+  let weak = Weak.create 1 and delivered = ref 0 in
+  Session_core.on_receive core (fun ~src:_ ~dst:_ ~slot:_ _ -> incr delivered);
+  send_tracked core weak ~src:(Test_support.vtx topo 1);
+  Alcotest.(check bool) "in flight: alive" false (collected weak 0);
+  Sim.run sim;
+  Alcotest.(check int) "delivered" 1 !delivered;
+  Alcotest.(check bool) "delivered: collectable" true (collected weak 0)
+
 let () =
   Alcotest.run "simkernel"
     [
@@ -403,6 +497,7 @@ let () =
             test_run_guarded_event_budget;
           prop_sim_fifo_same_time;
           prop_sim_counters_consistent;
+          Alcotest.test_case "integer events" `Quick test_sim_event_handler;
         ] );
       ( "channel",
         [
@@ -410,5 +505,8 @@ let () =
           Alcotest.test_case "fifo burst" `Quick test_channel_fifo;
           Alcotest.test_case "fifo across time" `Quick test_channel_fifo_across_time;
           prop_channel_never_reorders;
+          prop_edge_fifo;
+          Alcotest.test_case "delivered messages collectable" `Quick
+            test_delivered_collectable;
         ] );
     ]

@@ -160,6 +160,38 @@ let test_slots_and_edges_examples () =
     files;
   Alcotest.(check bool) "diamond" true (slots_and_edges_consistent (diamond ()))
 
+(* The generator's output, pinned as digests of its relationship file:
+   the bench graphs (seed 1, n = 1000 and 4000) and two small parameter
+   sets, one with a single tier-1. Any change to the draws or to how they
+   pick providers moves a digest, and with it every experiment number. *)
+let test_generator_pinned () =
+  let digest p =
+    Digest.to_hex
+      (Digest.string (Topo_io.relationships_to_string (Topo_gen.generate p)))
+  in
+  List.iter
+    (fun (name, p, expected) ->
+      Alcotest.(check string) name expected (digest p))
+    [
+      ("bench n=1000", Topo_gen.default_params ~seed:1 ~n:1000 (),
+       "8ec94c847b48ff8729368fb3c6dc6374");
+      ("bench n=4000", Topo_gen.default_params ~seed:1 ~n:4000 (),
+       "ed9ef41e70029b1bebf53e0276fe7fe5");
+      ("one tier-1",
+       { (Topo_gen.default_params ~seed:7 ~n:60 ()) with Topo_gen.n_tier1 = 1 },
+       "5c5ed326769586f679f01c1f9bf77e7d");
+      ("dense", {
+         Topo_gen.n = 150;
+         n_tier1 = 4;
+         mid_fraction = 0.3;
+         stub_extra_provider_prob = 0.6;
+         mid_extra_provider_prob = 0.7;
+         max_providers = 3;
+         peers_per_mid = 1.5;
+         seed = 12345;
+       }, "238b2850abee368893d84fb85060cce0");
+    ]
+
 let test_generator_tier1_clique () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:200 ()) in
   let t1s = Topology.tier1s t in
@@ -422,6 +454,7 @@ let () =
           prop_generator_invariants;
           prop_generator_deterministic;
           Alcotest.test_case "tier1 clique" `Quick test_generator_tier1_clique;
+          Alcotest.test_case "output pinned" `Quick test_generator_pinned;
           Alcotest.test_case "multihoming" `Quick
             test_generator_multihoming_present;
         ] );
