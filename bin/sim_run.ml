@@ -10,88 +10,13 @@
 
 open Cmdliner
 
-let protocol_conv =
-  let parse = function
-    | "bgp" -> Ok Runner.Bgp
-    | "rbgp" -> Ok Runner.Rbgp
-    | "rbgp-norci" -> Ok Runner.Rbgp_no_rci
-    | "stamp" -> Ok Runner.Stamp
-    | s -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Runner.protocol_name p) in
-  Arg.conv (parse, print)
-
-let link_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ a; b ] -> begin
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b -> Ok (a, b)
-      | _ -> Error (`Msg "expected ASN:ASN")
-    end
-    | _ -> Error (`Msg "expected ASN:ASN")
-  in
-  let print ppf (a, b) = Format.fprintf ppf "%d:%d" a b in
-  Arg.conv (parse, print)
-
-let scenario_conv =
-  let parse = function
-    | "single" -> Ok `Single
-    | "two-apart" -> Ok `Two_apart
-    | "two-shared" -> Ok `Two_shared
-    | "node" -> Ok `Node
-    | "policy" -> Ok `Policy
-    | s -> Error (`Msg (Printf.sprintf "unknown scenario %S" s))
-  in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with
-      | `Single -> "single"
-      | `Two_apart -> "two-apart"
-      | `Two_shared -> "two-shared"
-      | `Node -> "node"
-      | `Policy -> "policy")
-  in
-  Arg.conv (parse, print)
-
-let vertex_of_asn_exn topo asn =
-  match Topology.vertex_of_asn topo asn with
-  | Some v -> v
-  | None -> Fmt.failwith "ASN %d not in topology" asn
-
-let run topo_file n seed protocol dest_asn fails scenario_kind mrai =
-  let topo =
-    match topo_file with
-    | Some path -> Topo_io.load_relationships path
-    | None -> Topo_gen.generate (Topo_gen.default_params ~seed ~n ())
-  in
+let run (a : Scenario_cli.t) =
+  let topo = Scenario_cli.topology a in
   Format.printf "topology: %a@." Topology.pp_stats topo;
-  let st = Random.State.make [| seed |] in
-  let spec =
-    match (dest_asn, fails) with
-    | Some asn, (_ :: _ as links) ->
-      {
-        Scenario.dest = vertex_of_asn_exn topo asn;
-        events =
-          List.map
-            (fun (a, b) ->
-              Scenario.Fail_link
-                (vertex_of_asn_exn topo a, vertex_of_asn_exn topo b))
-            links;
-        detect_delay = None;
-      }
-    | Some _, [] | None, _ -> begin
-      match scenario_kind with
-      | `Single -> Scenario.single_link st topo
-      | `Two_apart -> Scenario.two_links_apart st topo
-      | `Two_shared -> Scenario.two_links_shared st topo
-      | `Node -> Scenario.node_failure st topo
-      | `Policy -> Scenario.policy_withdraw st topo
-    end
-  in
+  let spec = Scenario_cli.spec a topo in
   Format.printf "scenario: %a@." (Scenario.pp_spec topo) spec;
-  let r = Runner.run ~seed ~mrai_base:mrai protocol topo spec in
-  Format.printf "protocol:            %s@." (Runner.protocol_name protocol);
+  let r = Runner.run ~seed:a.seed ~mrai_base:a.mrai a.protocol topo spec in
+  Format.printf "protocol:            %s@." (Runner.protocol_name a.protocol);
   Format.printf "transient problems:  %d ASes@." r.Runner.transient_count;
   Format.printf "disconnected after:  %d ASes@." r.Runner.broken_after;
   Format.printf "convergence delay:   %.2f s@." r.Runner.convergence_delay;
@@ -99,56 +24,10 @@ let run topo_file n seed protocol dest_asn fails scenario_kind mrai =
   Format.printf "messages (event):    %d@." r.Runner.messages_event;
   0
 
-let topo_file =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "topo" ] ~docv:"FILE" ~doc:"CAIDA relationship file to load.")
-
-let n =
-  Arg.(
-    value & opt int 1000
-    & info [ "n" ] ~docv:"N" ~doc:"Generated topology size (without --topo).")
-
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"RNG seed.")
-
-let protocol =
-  Arg.(
-    value
-    & opt protocol_conv Runner.Stamp
-    & info [ "protocol" ] ~docv:"P"
-        ~doc:"Protocol: bgp, rbgp, rbgp-norci or stamp.")
-
-let dest =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "dest" ] ~docv:"ASN"
-        ~doc:"Destination AS (random multi-homed AS if omitted).")
-
-let fails =
-  Arg.(
-    value & opt_all link_conv []
-    & info [ "fail" ] ~docv:"ASN:ASN"
-        ~doc:"Link to fail after convergence (repeatable; needs --dest).")
-
-let scenario =
-  Arg.(
-    value & opt scenario_conv `Single
-    & info [ "scenario" ] ~docv:"KIND"
-        ~doc:"Random scenario kind: single, two-apart, two-shared, node or policy.")
-
-let mrai =
-  Arg.(
-    value & opt float 30.
-    & info [ "mrai" ] ~docv:"SECONDS" ~doc:"MRAI base interval.")
-
 let cmd =
   let doc = "simulate a routing failure under BGP, R-BGP or STAMP" in
   Cmd.v
     (Cmd.info "sim_run" ~doc)
-    Term.(
-      const run $ topo_file $ n $ seed $ protocol $ dest $ fails $ scenario
-      $ mrai)
+    Term.(const run $ Scenario_cli.term)
 
 let () = exit (Cmd.eval' cmd)

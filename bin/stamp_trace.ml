@@ -16,55 +16,6 @@
 
 open Cmdliner
 
-let protocol_conv =
-  let parse = function
-    | "bgp" -> Ok Runner.Bgp
-    | "rbgp" -> Ok Runner.Rbgp
-    | "rbgp-norci" -> Ok Runner.Rbgp_no_rci
-    | "stamp" -> Ok Runner.Stamp
-    | s -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Runner.protocol_name p) in
-  Arg.conv (parse, print)
-
-let link_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ a; b ] -> begin
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b -> Ok (a, b)
-      | _ -> Error (`Msg "expected ASN:ASN")
-    end
-    | _ -> Error (`Msg "expected ASN:ASN")
-  in
-  let print ppf (a, b) = Format.fprintf ppf "%d:%d" a b in
-  Arg.conv (parse, print)
-
-let scenario_conv =
-  let parse = function
-    | "single" -> Ok `Single
-    | "two-apart" -> Ok `Two_apart
-    | "two-shared" -> Ok `Two_shared
-    | "node" -> Ok `Node
-    | "policy" -> Ok `Policy
-    | s -> Error (`Msg (Printf.sprintf "unknown scenario %S" s))
-  in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with
-      | `Single -> "single"
-      | `Two_apart -> "two-apart"
-      | `Two_shared -> "two-shared"
-      | `Node -> "node"
-      | `Policy -> "policy")
-  in
-  Arg.conv (parse, print)
-
-let vertex_of_asn_exn topo asn =
-  match Topology.vertex_of_asn topo asn with
-  | Some v -> v
-  | None -> Fmt.failwith "ASN %d not in topology" asn
-
 (* Read one event per non-empty line; the parse error of a bad line is
    re-raised with its line number so truncated or hand-edited files fail
    with a usable message. *)
@@ -93,40 +44,15 @@ let print_events ~json events =
 
 (* --- record ------------------------------------------------------------- *)
 
-let record topo_file n seed protocol dest_asn fails scenario_kind mrai output
-    summary =
-  let topo =
-    match topo_file with
-    | Some path -> Topo_io.load_relationships path
-    | None -> Topo_gen.generate (Topo_gen.default_params ~seed ~n ())
-  in
-  let st = Random.State.make [| seed |] in
-  let spec =
-    match (dest_asn, fails) with
-    | Some asn, (_ :: _ as links) ->
-      {
-        Scenario.dest = vertex_of_asn_exn topo asn;
-        events =
-          List.map
-            (fun (a, b) ->
-              Scenario.Fail_link
-                (vertex_of_asn_exn topo a, vertex_of_asn_exn topo b))
-            links;
-        detect_delay = None;
-      }
-    | Some _, [] | None, _ -> begin
-      match scenario_kind with
-      | `Single -> Scenario.single_link st topo
-      | `Two_apart -> Scenario.two_links_apart st topo
-      | `Two_shared -> Scenario.two_links_shared st topo
-      | `Node -> Scenario.node_failure st topo
-      | `Policy -> Scenario.policy_withdraw st topo
-    end
-  in
+let record (a : Scenario_cli.t) output summary =
+  let topo = Scenario_cli.topology a in
+  let spec = Scenario_cli.spec a topo in
   (* record into memory (so --summary can reconstruct the timeline), then
      write the JSONL file from the buffer *)
   let trace = Trace.memory () in
-  let r = Runner.run ~seed ~mrai_base:mrai ~trace protocol topo spec in
+  let r =
+    Runner.run ~seed:a.seed ~mrai_base:a.mrai ~trace a.protocol topo spec
+  in
   let events = Trace.events trace in
   (match output with
   | None -> print_events ~json:true events
@@ -142,7 +68,7 @@ let record topo_file n seed protocol dest_asn fails scenario_kind mrai output
           events);
     Format.eprintf "wrote %d events to %s (%s, %a)@." (List.length events)
       path
-      (Runner.protocol_name protocol)
+      (Runner.protocol_name a.protocol)
       (Scenario.pp_spec topo) spec);
   if summary then begin
     match r.Runner.timeline with
@@ -228,53 +154,6 @@ let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSONL instead of prose.")
 
 let record_cmd =
-  let topo_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "topo" ] ~docv:"FILE" ~doc:"CAIDA relationship file to load.")
-  in
-  let n =
-    Arg.(
-      value & opt int 1000
-      & info [ "n" ] ~docv:"N" ~doc:"Generated topology size (without --topo).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"RNG seed.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt protocol_conv Runner.Stamp
-      & info [ "protocol" ] ~docv:"P"
-          ~doc:"Protocol: bgp, rbgp, rbgp-norci or stamp.")
-  in
-  let dest =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "dest" ] ~docv:"ASN"
-          ~doc:"Destination AS (random multi-homed AS if omitted).")
-  in
-  let fails =
-    Arg.(
-      value & opt_all link_conv []
-      & info [ "fail" ] ~docv:"ASN:ASN"
-          ~doc:"Link to fail after convergence (repeatable; needs --dest).")
-  in
-  let scenario =
-    Arg.(
-      value & opt scenario_conv `Single
-      & info [ "scenario" ] ~docv:"KIND"
-          ~doc:
-            "Random scenario kind: single, two-apart, two-shared, node or \
-             policy.")
-  in
-  let mrai =
-    Arg.(
-      value & opt float 30.
-      & info [ "mrai" ] ~docv:"SECONDS" ~doc:"MRAI base interval.")
-  in
   let output =
     Arg.(
       value
@@ -290,9 +169,7 @@ let record_cmd =
   in
   let doc = "run one scenario with tracing on and dump the JSONL trace" in
   Cmd.v (Cmd.info "record" ~doc)
-    Term.(
-      const record $ topo_file $ n $ seed $ protocol $ dest $ fails $ scenario
-      $ mrai $ output $ summary)
+    Term.(const record $ Scenario_cli.term $ output $ summary)
 
 let filter_cmd =
   let ases =
@@ -303,7 +180,7 @@ let filter_cmd =
   in
   let links =
     Arg.(
-      value & opt_all link_conv []
+      value & opt_all Scenario_cli.link_conv []
       & info [ "link" ] ~docv:"ASN:ASN"
           ~doc:"Keep events on this link, either direction (repeatable, OR).")
   in

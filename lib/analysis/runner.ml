@@ -64,11 +64,6 @@ let rec event_loc topo = function
     Trace.Node (Topology.asn topo v)
   | Scenario.At (_, e) -> event_loc topo e
 
-(* Apply one scenario event through the packed engine; [At] defers the inner
-   event on the simulation clock, so churn streams interleave with the
-   protocol's own reaction. Concrete events are traced at their application
-   instant (a deferred event when its timer fires), before the engine's
-   reaction. *)
 let rec inject ~trace topo (net : Engine.instance) sim event =
   (match event with
   | Scenario.At _ -> ()
@@ -87,17 +82,6 @@ let rec inject ~trace topo (net : Engine.instance) sim event =
   | Scenario.Allow_export (u, v) -> Engine.allow_export net u v
   | Scenario.At (dt, e) ->
     Sim.schedule sim ~delay:dt (fun _ -> inject ~trace topo net sim e)
-
-let status_string = function
-  | Fwd_walk.Delivered -> "delivered"
-  | Fwd_walk.Looped -> "looped"
-  | Fwd_walk.Blackholed -> "blackholed"
-
-let count_broken statuses =
-  Array.fold_left
-    (fun acc s ->
-      if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
-    0 statuses
 
 let phase ~trace sim net name =
   if Trace.enabled trace then
@@ -169,7 +153,8 @@ let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
             (fun ~changed v s ->
               Trace.emit trace ~vtime:(Sim.now sim) ~engine:(Engine.name net)
                 ~loc:(Trace.Node (Topology.asn topo v))
-                (Trace.Status { status = status_string s; changed }))
+                (Trace.Status
+                   { status = Fwd_walk.string_of_status s; changed }))
         else None
       in
       Transient.run_guarded sim ~interval ~max_events ~max_vtime ?on_status
@@ -179,19 +164,12 @@ let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
       (* initial convergence never finished, so no event was injected:
          report the forwarding plane as it stands and let the verdict flag
          the row — the sweep goes on *)
-      ( {
-          Transient.transient = [||];
-          final = Engine.probe net;
-          checkpoints = 1;
-          converged_at = event_time;
-          last_status_change = event_time;
-        },
-        initial )
+      (Transient.snapshot sim ~probe:(fun () -> Engine.probe net), initial)
   in
   phase ~trace sim net "final";
   {
     transient_count = Transient.transient_count outcome;
-    broken_after = count_broken outcome.final;
+    broken_after = Transient.broken outcome.outages;
     convergence_delay = Float.max 0. (Engine.last_change net -. event_time);
     recovery_delay = Float.max 0. (outcome.last_status_change -. event_time);
     messages_initial;

@@ -39,6 +39,17 @@ val default_budget : budget
     far above anything the paper's workloads need, so results are
     unchanged for healthy instances; only pathological ones get killed. *)
 
+val inject :
+  trace:Trace.sink ->
+  Topology.t ->
+  Engine.instance ->
+  Sim.t ->
+  Scenario.event ->
+  unit
+(** Apply one scenario event to the instance. {!Scenario.At} defers the
+    inner event on the simulation clock; a concrete event is traced when it
+    applies, before the engine reacts. *)
+
 type result = {
   transient_count : int;
       (** ASes with transient forwarding problems after the event *)

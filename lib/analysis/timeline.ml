@@ -1,12 +1,6 @@
-(* Convergence-timeline reconstruction. The status-event protocol this
-   relies on (see Runner): a baseline Status for every AS at the event
-   instant with [changed = false]; a Status with [changed = true] for each
-   AS whose delivery status differs at a monitor checkpoint; and final
-   corrections with [changed = false] at a later vtime for ASes whose
-   status moved between the last checkpoint and the final probe. The
-   Runner's own aggregates ignore final corrections for troubled/recovery
-   bookkeeping and use them for the end state — so do we, which is what
-   makes the reconstruction exact. *)
+(* Runner's Status events drive the outage fold its probes drove: an
+   unchanged one at the injection instant is the baseline snapshot, any
+   other unchanged one a final-probe correction. *)
 
 type window = { asn : int; status : string; from_t : float; until_t : float }
 
@@ -32,23 +26,13 @@ type t = {
   recolorings : int;
 }
 
-let delivered = "delivered"
-
-type as_state = {
-  mutable status : string;
-  mutable since : float;  (* when the current status began *)
-  mutable troubled : bool;  (* non-delivered at baseline or a checkpoint *)
-}
-
 let of_events events =
   let engine = ref "" in
   let event_time = ref 0. in
   let saw_injection = ref false in
   let converged_at = ref 0. in
   let saw_final = ref false in
-  let first_loss = ref None in
   let last_decision = ref None in
-  let last_status_change = ref None in
   let decisions = ref 0 in
   let announces = ref 0 in
   let withdraws = ref 0 in
@@ -56,27 +40,7 @@ let of_events events =
   let drops = ref 0 in
   let deferrals = ref 0 in
   let recolorings = ref 0 in
-  let ases : (int, as_state) Hashtbl.t = Hashtbl.create 64 in
-  let windows = ref [] in
-  let close_window asn st ~at =
-    if st.status <> delivered then
-      windows := { asn; status = st.status; from_t = st.since; until_t = at }
-                 :: !windows
-  in
-  let note_status asn status ~vtime ~changed =
-    if status <> delivered && !first_loss = None then first_loss := Some vtime;
-    match Hashtbl.find_opt ases asn with
-    | None ->
-        Hashtbl.replace ases asn
-          { status; since = vtime; troubled = changed && status <> delivered }
-    | Some st ->
-        if st.status <> status then begin
-          close_window asn st ~at:vtime;
-          st.status <- status;
-          st.since <- vtime
-        end;
-        if changed && status <> delivered then st.troubled <- true
-  in
+  let outages = Transient.outages () in
   List.iter
     (fun (e : Trace.event) ->
       (match e.kind with
@@ -92,13 +56,16 @@ let of_events events =
           incr decisions;
           last_decision := Some e.vtime
       | Trace.Status { status; changed } -> (
-          if changed then last_status_change := Some e.vtime;
           match e.loc with
           | Trace.Node asn ->
-              (* baseline snapshots at the event instant count toward the
-                 troubled set exactly like checkpoint changes do *)
-              let counts = changed || (!saw_injection && e.vtime = !event_time) in
-              note_status asn status ~vtime:e.vtime ~changed:counts
+              let observation =
+                if changed then Transient.Checkpoint
+                else if !saw_injection && e.vtime = !event_time then
+                  Transient.Baseline
+                else Transient.Final
+              in
+              Transient.observe outages ~at:e.vtime observation asn
+                (Fwd_walk.status_of_string status)
           | Trace.Net | Trace.Link _ -> ())
       | Trace.Enqueue { msg = Trace.Announce; _ } -> incr announces
       | Trace.Enqueue { msg = Trace.Withdraw; _ } -> incr withdraws
@@ -111,40 +78,33 @@ let of_events events =
           ());
       if not !saw_final then converged_at := Float.max !converged_at e.vtime)
     events;
-  (* close windows still open at the end of the run *)
-  Hashtbl.iter (fun asn st -> close_window asn st ~at:!converged_at) ases;
   let windows =
-    List.sort
-      (fun a b ->
-        match compare a.from_t b.from_t with 0 -> compare a.asn b.asn | c -> c)
-      !windows
-  in
-  let transient_count, broken_after =
-    Hashtbl.fold
-      (fun _ st (tr, br) ->
-        let final_ok = st.status = delivered in
-        ( (if st.troubled && final_ok then tr + 1 else tr),
-          if final_ok then br else br + 1 ))
-      ases (0, 0)
+    List.map
+      (fun (asn, s, from_t, until_t) ->
+        { asn; status = Fwd_walk.string_of_status s; from_t; until_t })
+      (Transient.windows outages ~until:!converged_at)
   in
   {
     engine = !engine;
     event_time = !event_time;
     converged_at = !converged_at;
-    first_loss = !first_loss;
+    first_loss = (match windows with w :: _ -> Some w.from_t | [] -> None);
     last_decision = !last_decision;
     convergence_delay =
       (match !last_decision with
       | Some t -> Float.max 0. (t -. !event_time)
       | None -> 0.);
     recovery_delay =
-      (match !last_status_change with
+      (match Transient.last_change outages with
       | Some t -> Float.max 0. (t -. !event_time)
       | None -> 0.);
-    transient_count;
-    broken_after;
+    transient_count = Transient.transient outages;
+    broken_after = Transient.broken outages;
     windows;
-    loop_windows = List.filter (fun (w : window) -> w.status = "looped") windows;
+    loop_windows =
+      List.filter
+        (fun w -> w.status = Fwd_walk.(string_of_status Looped))
+        windows;
     dropped_as_seconds =
       List.fold_left (fun acc w -> acc +. (w.until_t -. w.from_t)) 0. windows;
     decisions = !decisions;
@@ -188,29 +148,23 @@ let pp ppf t =
   Format.fprintf ppf "@]"
 
 let to_json t =
-  let b = Buffer.create 256 in
   let opt = function None -> "null" | Some f -> Printf.sprintf "%.17g" f in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"engine\":%s,\"event_time\":%.17g,\"converged_at\":%.17g,\
-        \"first_loss\":%s,\"last_decision\":%s,\
-        \"convergence_delay\":%.17g,\"recovery_delay\":%.17g,\
-        \"transient_count\":%d,\"broken_after\":%d,\
-        \"dropped_as_seconds\":%.17g,\"decisions\":%d,\
-        \"enqueued_announcements\":%d,\"enqueued_withdrawals\":%d,\
-        \"deliveries\":%d,\"drops\":%d,\"mrai_deferrals\":%d,\
-        \"recolorings\":%d,\"windows\":["
-       (Json.string t.engine) t.event_time t.converged_at (opt t.first_loss)
-       (opt t.last_decision) t.convergence_delay t.recovery_delay
-       t.transient_count t.broken_after t.dropped_as_seconds t.decisions
-       t.enqueued_announcements t.enqueued_withdrawals t.deliveries t.drops
-       t.mrai_deferrals t.recolorings);
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"asn\":%d,\"status\":%s,\"from\":%.17g,\"until\":%.17g}"
-           w.asn (Json.string w.status) w.from_t w.until_t))
-    t.windows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let window w =
+    Printf.sprintf "{\"asn\":%d,\"status\":%s,\"from\":%.17g,\"until\":%.17g}"
+      w.asn (Json.string w.status) w.from_t w.until_t
+  in
+  Printf.sprintf
+    "{\"engine\":%s,\"event_time\":%.17g,\"converged_at\":%.17g,\
+     \"first_loss\":%s,\"last_decision\":%s,\
+     \"convergence_delay\":%.17g,\"recovery_delay\":%.17g,\
+     \"transient_count\":%d,\"broken_after\":%d,\
+     \"dropped_as_seconds\":%.17g,\"decisions\":%d,\
+     \"enqueued_announcements\":%d,\"enqueued_withdrawals\":%d,\
+     \"deliveries\":%d,\"drops\":%d,\"mrai_deferrals\":%d,\
+     \"recolorings\":%d,\"windows\":[%s]}"
+    (Json.string t.engine) t.event_time t.converged_at (opt t.first_loss)
+    (opt t.last_decision) t.convergence_delay t.recovery_delay
+    t.transient_count t.broken_after t.dropped_as_seconds t.decisions
+    t.enqueued_announcements t.enqueued_withdrawals t.deliveries t.drops
+    t.mrai_deferrals t.recolorings
+    (String.concat "," (List.map window t.windows))

@@ -7,14 +7,15 @@
     ASes lost delivery and for how long (outage {!window}s, split into
     loops and blackholes), when the forwarding plane stabilised and when
     the control plane went quiet. The aggregate fields reproduce the
-    Runner's own measurements exactly — [transient_count], [broken_after],
-    [convergence_delay] and [recovery_delay] are {e defined} to equal the
-    corresponding [Runner.result] fields, and the differential test suite
-    asserts that equality for every engine in [Runner.engines]. *)
+    Runner's own measurements exactly: [transient_count], [broken_after]
+    and [recovery_delay] come from the outage fold {!Transient.run_guarded}
+    computes them with, and the differential test suite checks them and
+    [convergence_delay] against [Runner.result] for every engine in
+    [Runner.engines]. *)
 
 type window = {
   asn : int;
-  status : string;  (** ["looped"] or ["blackholed"] for the whole window *)
+  status : string;  (** [Looped] or [Blackholed], by its status name *)
   from_t : float;  (** virtual time the AS entered this status *)
   until_t : float;
       (** virtual time it left it (clipped to the final checkpoint for
@@ -37,7 +38,7 @@ type t = {
       (** every observed outage interval, ordered by start time (ties by
           ASN); checkpoint-resolution, like the monitor that produced the
           statuses *)
-  loop_windows : window list;  (** the subset with status ["looped"] *)
+  loop_windows : window list;  (** the subset with status [Looped] *)
   dropped_as_seconds : float;
       (** Σ window durations: AS·seconds of packets-would-be-dropped *)
   decisions : int;  (** best-route changes over the whole run *)
@@ -54,7 +55,9 @@ val of_events : Trace.event list -> t
     on partial traces — missing phase markers default to virtual time 0 /
     the last event's time — but the aggregate-equality guarantee only
     holds for a complete run recorded through [Runner] with a memory
-    sink. *)
+    sink. A changed [Status] is a [Checkpoint] observation, an unchanged
+    one at the [events-injected] instant the [Baseline], any other [Final].
+    @raise Invalid_argument on an unknown status name. *)
 
 val outage_at : t -> float -> int
 (** Number of ASes inside an outage window at the given instant (the

@@ -1,13 +1,69 @@
+type observation = Baseline | Checkpoint | Final
+
+(* An AS that ever left [Delivered]; troubled once lost at the baseline or
+   at a checkpoint. *)
+type outage = {
+  mutable status : Fwd_walk.status;
+  mutable since : float;
+  mutable troubled : bool;
+}
+
+type outages = {
+  ases : (int, outage) Hashtbl.t;
+  mutable closed : (int * Fwd_walk.status * float * float) list;
+      (* (asn, status, from, until), newest first *)
+  mutable last_change : float option;
+}
+
+let outages () = { ases = Hashtbl.create 16; closed = []; last_change = None }
+let delivered s = Fwd_walk.equal_status s Fwd_walk.Delivered
+
+let observe t ~at observation asn status =
+  let lost = not (delivered status) in
+  let troubles =
+    match observation with
+    | Checkpoint ->
+      t.last_change <- Some at;
+      lost
+    | Baseline -> lost
+    | Final -> false
+  in
+  match Hashtbl.find_opt t.ases asn with
+  | None ->
+    if lost then
+      Hashtbl.add t.ases asn { status; since = at; troubled = troubles }
+  | Some o ->
+    if not (Fwd_walk.equal_status o.status status) then begin
+      if not (delivered o.status) then
+        t.closed <- (asn, o.status, o.since, at) :: t.closed;
+      o.status <- status;
+      o.since <- at
+    end;
+    if troubles then o.troubled <- true
+
+let count t f = Hashtbl.fold (fun _ o n -> if f o then n + 1 else n) t.ases 0
+let transient t = count t (fun o -> o.troubled && delivered o.status)
+let broken t = count t (fun o -> not (delivered o.status))
+
+let windows t ~until =
+  Hashtbl.fold
+    (fun asn o acc ->
+      if delivered o.status then acc
+      else (asn, o.status, o.since, until) :: acc)
+    t.ases t.closed
+  |> List.sort (fun (a, _, from_a, _) (b, _, from_b, _) ->
+         match Float.compare from_a from_b with 0 -> Int.compare a b | c -> c)
+
+let last_change t = t.last_change
+
 type outcome = {
-  transient : bool array;
+  outages : outages;
   final : Fwd_walk.status array;
   checkpoints : int;
-  converged_at : float;
   last_status_change : float;
 }
 
-let transient_count o =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 o.transient
+let transient_count o = transient o.outages
 
 let watch sim ~interval ~max_events ~max_vtime ~probe ~note =
   if interval <= 0. then invalid_arg "Transient.watch: non-positive interval";
@@ -32,72 +88,45 @@ let watch sim ~interval ~max_events ~max_vtime ~probe ~note =
   note ~final:true (probe ());
   !verdict
 
-(* The transient set as a fold over [watch]'s checkpoints: the first one is
-   the baseline, the final one only fixes [final] (it never moves
-   [last_status_change] or the troubled set — historical semantics). *)
+(* The first checkpoint is the baseline; the final one only corrects. *)
 let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
     ?(max_vtime = infinity) ?on_status ~probe () =
+  let start = Sim.now sim in
+  let outages = outages () in
   let checkpoints = ref 0 in
-  let troubled = ref [||] in
   let prev = ref [||] in
-  let final = ref [||] in
-  let last_status_change = ref (Sim.now sim) in
-  let observe ~changed v s =
-    if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
-      !troubled.(v) <- true;
+  let see observation ~changed v s =
+    observe outages ~at:(Sim.now sim) observation v s;
     match on_status with Some f -> f ~changed v s | None -> ()
   in
-  let note ~final:is_final statuses =
+  let note ~final statuses =
     incr checkpoints;
-    if !checkpoints = 1 then begin
-      (* baseline snapshot: every AS's status at the observation start,
-         reported unchanged so observers can seed their state *)
-      troubled := Array.make (Array.length statuses) false;
-      Array.iteri (observe ~changed:false) statuses;
-      prev := statuses
-    end;
-    if is_final then begin
-      (* report the final probe's deltas as unchanged corrections so
-         observers still see the end state of every AS *)
-      (match on_status with
-      | Some f when statuses != !prev ->
-        Array.iteri
-          (fun v s ->
-            if not (Fwd_walk.equal_status s !prev.(v)) then
-              f ~changed:false v s)
-          statuses
-      | Some _ | None -> ());
-      final := statuses
-    end
+    if !checkpoints = 1 then Array.iteri (see Baseline ~changed:false) statuses
     (* A probe that returns the previous array itself (an engine's probe
        when no status moved: probe results are never mutated) changed
-       nothing. Otherwise only the ASes whose status moved can become
-       troubled: an unchanged non-delivered AS was marked when it changed
-       (or at the baseline). *)
+       nothing. Otherwise only the ASes whose status moved are seen. *)
     else if statuses != !prev then begin
-      let any = ref false in
+      let see =
+        if final then see Final ~changed:false else see Checkpoint ~changed:true
+      in
       Array.iteri
-        (fun v s ->
-          if not (Fwd_walk.equal_status s !prev.(v)) then begin
-            any := true;
-            observe ~changed:true v s
-          end)
-        statuses;
-      if !any then last_status_change := Sim.now sim;
-      prev := statuses
-    end
+        (fun v s -> if not (Fwd_walk.equal_status s !prev.(v)) then see v s)
+        statuses
+    end;
+    prev := statuses
   in
   let verdict = watch sim ~interval ~max_events ~max_vtime ~probe ~note in
-  let transient =
-    Array.mapi
-      (fun v bad -> bad && Fwd_walk.equal_status !final.(v) Fwd_walk.Delivered)
-      !troubled
-  in
   ( {
-      transient;
-      final = !final;
+      outages;
+      final = !prev;
       checkpoints = !checkpoints;
-      converged_at = Sim.now sim;
-      last_status_change = !last_status_change;
+      last_status_change = Option.value (last_change outages) ~default:start;
     },
     verdict )
+
+let snapshot sim ~probe =
+  let at = Sim.now sim in
+  let outages = outages () in
+  let final = probe () in
+  Array.iteri (observe outages ~at Final) final;
+  { outages; final; checkpoints = 1; last_status_change = at }

@@ -1,30 +1,51 @@
 (** Checkpointed transient-problem monitor — the measurement behind the
     paper's Figures 2 and 3 ("number of ASes with transient problems").
 
-    The monitor drives a simulation to convergence while probing the
-    forwarding plane at fixed virtual-time intervals. An AS {e experiences
-    a transient problem} when some checkpoint after the routing event shows
-    its packets looping or blackholed {e and} the AS has working delivery
-    once the protocol has converged (ASes that end up legitimately
-    disconnected are not transient casualties). This matches the paper's
-    counting: transient loops and failures during convergence. *)
+    The per-AS rule is one fold over status observations: {!run_guarded}
+    feeds it probe diffs, [Timeline.of_events] a trace's [Status] events.
+    An AS is {e troubled} when it is not delivered at the {!Baseline} or
+    at a {!Checkpoint} where its status changed; a {!Final} observation
+    updates its status but never troubles it or moves {!last_change}. It
+    is {e transient} when troubled and delivered at the end, {e broken}
+    when not delivered at the end. *)
+
+type observation =
+  | Baseline  (** an AS's status at the observation start *)
+  | Checkpoint  (** a status that moved at a checkpoint *)
+  | Final  (** a status that moved at the final probe *)
+
+type outages
+(** The fold. Only an AS that ever left [Delivered] has an entry: its
+    status, since when, and whether it is troubled. *)
+
+val outages : unit -> outages
+
+val observe :
+  outages -> at:float -> observation -> int -> Fwd_walk.status -> unit
+(** [observe t ~at o asn status]: AS [asn] has [status] at time [at]. *)
+
+val transient : outages -> int
+val broken : outages -> int
+
+val windows :
+  outages -> until:float -> (int * Fwd_walk.status * float * float) list
+(** The outage windows [(asn, status, from, until)], the open ones clipped
+    to [until], ordered by start time, ties by [asn]. *)
+
+val last_change : outages -> float option
+(** The instant of the last {!Checkpoint} observation. *)
 
 type outcome = {
-  transient : bool array;
-      (** per AS: had a loop/blackhole at some checkpoint but delivers at
-          convergence *)
+  outages : outages;  (** the fold over every probe *)
   final : Fwd_walk.status array;  (** status after convergence *)
   checkpoints : int;  (** number of probes taken *)
-  converged_at : float;  (** simulation time when the event queue drained *)
   last_status_change : float;
-      (** simulation time of the last probe at which any AS's forwarding
-          status differed from the previous probe — when the forwarding
-          plane stabilised. Equals the event time when forwarding was never
-          disturbed. *)
+      (** {!last_change}, or the start time when forwarding was never
+          disturbed: when the forwarding plane stabilised *)
 }
 
 val transient_count : outcome -> int
-(** Number of ASes with [transient.(v) = true]. *)
+(** [transient o.outages]. *)
 
 val watch :
   Sim.t ->
@@ -58,29 +79,22 @@ val run_guarded :
   probe:(unit -> Fwd_walk.status array) ->
   unit ->
   outcome * Sim.verdict
-(** The transient set as a fold over {!watch}, with [interval] (default
-    0.02 s, matching the paper's 10-20 ms message delays so transient
-    windows are not missed), [max_events] (default 50 million) and
-    [max_vtime] (default unbounded). Returns {!watch}'s verdict, so sweeps
-    over adversarial or churn-heavy instances degrade gracefully: on a
-    non-{!Sim.Converged} verdict the outcome reports whatever the monitor
-    observed up to the kill point (the final probe still runs, so [final]
-    reflects the forwarding plane at the moment the budget hit).
+(** The outage fold over {!watch}, with [interval] (default 0.02 s, the
+    paper's 10-20 ms message delays, so no transient window is missed),
+    [max_events] (default 50 million) and [max_vtime] (default unbounded).
+    Returns {!watch}'s verdict: on a non-{!Sim.Converged} one the outcome
+    reports what the monitor saw up to the kill point, [final] included.
 
     The monitor keeps the previous probe's array, so [probe] must never
     mutate an array it returned; when it returns that same array again
     ({!Engine.probe} does exactly when no status moved) the checkpoint is
     taken as unchanged without a per-AS comparison.
 
-    [on_status] observes the per-AS statuses the aggregate outcome is
-    computed from, in a protocol precise enough to reconstruct it exactly:
-    first every AS once with [changed:false] (the baseline snapshot at the
-    observation start), then — at each checkpoint where anything moved —
-    each AS whose status differs from the previous checkpoint with
-    [changed:true] (these are exactly the instants [last_status_change]
-    tracks, and together with the baseline exactly the statuses that feed
-    the [transient] troubled set), and finally each AS whose final-probe
-    status differs from the last checkpoint with [changed:false] (the
-    final probe never moves [last_status_change] or the troubled set —
-    historical semantics). Pure observation: the monitor's behaviour is
-    identical with or without it. *)
+    [on_status] sees each observation the fold makes, in order: every
+    AS's {!Baseline}, then at each checkpoint the ASes whose status moved
+    ({!Checkpoint}, the only ones with [changed:true]), then the ASes the
+    final probe moved ({!Final}). Pure observation: the monitor behaves
+    identically with or without it. *)
+
+val snapshot : Sim.t -> probe:(unit -> Fwd_walk.status array) -> outcome
+(** An unmonitored run's outcome: one probe, folded as {!Final}. *)

@@ -5,12 +5,18 @@ let equal_status a b =
   | Delivered, Delivered | Looped, Looped | Blackholed, Blackholed -> true
   | (Delivered | Looped | Blackholed), _ -> false
 
-let pp_status ppf s =
-  Format.pp_print_string ppf
-    (match s with
-    | Delivered -> "delivered"
-    | Looped -> "looped"
-    | Blackholed -> "blackholed")
+let string_of_status = function
+  | Delivered -> "delivered"
+  | Looped -> "looped"
+  | Blackholed -> "blackholed"
+
+let status_of_string = function
+  | "delivered" -> Delivered
+  | "looped" -> Looped
+  | "blackholed" -> Blackholed
+  | s -> invalid_arg (Printf.sprintf "Fwd_walk.status_of_string: %S" s)
+
+let pp_status ppf s = Format.pp_print_string ppf (string_of_status s)
 
 let drop = -1
 let deliver = -2

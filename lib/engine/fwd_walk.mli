@@ -24,6 +24,11 @@ type status =
   | Blackholed  (** some AS on the way drops the packet *)
 
 val equal_status : status -> status -> bool
+val string_of_status : status -> string
+val status_of_string : string -> status
+(** The status names of trace [Status] events: ["delivered"], ["looped"]
+    and ["blackholed"]. @raise Invalid_argument on any other string. *)
+
 val pp_status : Format.formatter -> status -> unit
 
 val drop : int

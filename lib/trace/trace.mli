@@ -49,7 +49,7 @@ type kind =
   | Scenario_event of string  (** an injected scenario event, pretty-printed *)
   | Status of { status : string; changed : bool }
       (** forwarding-plane status of an AS at a monitor checkpoint
-          (["delivered"], ["looped"], ["blackholed"]); [changed] is [false]
+          ([Fwd_walk.string_of_status]'s names); [changed] is [false]
           for the baseline snapshot at the event instant and for final-state
           corrections, [true] for a genuine change between checkpoints *)
   | Phase of string

@@ -3,30 +3,111 @@
 
 (* --- Transient monitor -------------------------------------------------- *)
 
-(* Drive the monitor with a scripted probe: AS 1 is broken for the first
-   two checkpoints then recovers; AS 2 is broken forever. *)
+(* Each AS's status at the baseline, the four checkpoints and the final
+   probe of [test_transient_counting]: D delivered, B blackholed, L looped. *)
+let script =
+  [|
+    "DDDDDD" (* AS0 delivered throughout *);
+    "BBDDDD" (* AS1 lost until checkpoint 3: transient *);
+    "LLLLLL" (* AS2 lost throughout: broken *);
+    "BDDDDD" (* AS3 lost at the baseline only: transient *);
+    "DDDDDL" (* AS4 lost at the final probe only: broken, never troubled *);
+    "DLLLLL" (* AS5 lost from checkpoint 2 on: broken, not transient *);
+    "DDLLLD" (* AS6 lost from checkpoint 3, corrected at the final probe *);
+  |]
+
+let scripted k =
+  Array.map
+    (fun row ->
+      match row.[k] with
+      | 'D' -> Fwd_walk.Delivered
+      | 'B' -> Fwd_walk.Blackholed
+      | _ -> Fwd_walk.Looped)
+    script
+
+(* The windows [script] yields when probe [k] (0-based) is taken at
+   [times.(k)] and the run ends at [until]. *)
+let script_windows times ~until =
+  [
+    (1, Fwd_walk.Blackholed, times.(0), times.(2));
+    (2, Fwd_walk.Looped, times.(0), until);
+    (3, Fwd_walk.Blackholed, times.(0), times.(1));
+    (5, Fwd_walk.Looped, times.(1), until);
+    (6, Fwd_walk.Looped, times.(2), times.(5));
+    (4, Fwd_walk.Looped, times.(5), until);
+  ]
+
+(* Drive the monitor with [script] as its probe. The final probe is the one
+   taken once no event is pending. *)
 let test_transient_counting () =
   let sim = Sim.create () in
   (* schedule a few spaced events so the monitor takes checkpoints *)
   for i = 1 to 5 do
     Sim.schedule sim ~delay:(0.03 *. float_of_int i) (fun _ -> ())
   done;
+  let times = Array.make 6 nan in
   let calls = ref 0 in
   let probe () =
+    let k = if Sim.pending sim = 0 then 5 else min !calls 4 in
     incr calls;
-    let broken1 = !calls <= 2 in
-    [|
-      Fwd_walk.Delivered;
-      (if broken1 then Fwd_walk.Blackholed else Fwd_walk.Delivered);
-      Fwd_walk.Looped;
-    |]
+    times.(k) <- Sim.now sim;
+    scripted k
   in
   let o, _ = Transient.run_guarded sim ~interval:0.02 ~probe () in
-  Alcotest.(check int) "one transient AS" 1 (Transient.transient_count o);
-  Alcotest.(check bool) "AS1 transient" true o.Transient.transient.(1);
-  Alcotest.(check bool) "AS2 permanent, not transient" false
-    o.Transient.transient.(2);
-  Alcotest.(check bool) "AS0 fine" false o.Transient.transient.(0)
+  Alcotest.(check int) "six probes" 6 o.Transient.checkpoints;
+  Alcotest.(check int) "transient: AS1, AS3, AS6" 3
+    (Transient.transient_count o);
+  Alcotest.(check int) "broken: AS2, AS4, AS5" 3
+    (Transient.broken o.Transient.outages);
+  Alcotest.(check (float 0.)) "last change at checkpoint 3" times.(2)
+    o.Transient.last_status_change;
+  Alcotest.(check bool) "windows" true
+    (script_windows times ~until:times.(5)
+    = Transient.windows o.Transient.outages ~until:times.(5));
+  (* a final observation never troubles an AS, even one a later
+     observation finds delivered *)
+  let t = Transient.outages () in
+  Transient.observe t ~at:1. Transient.Final 0 Fwd_walk.Looped;
+  Transient.observe t ~at:2. Transient.Checkpoint 0 Fwd_walk.Delivered;
+  Alcotest.(check int) "final observation never troubles" 0
+    (Transient.transient t)
+
+(* The same observations as Status events: baseline at the injection
+   instant, changes at checkpoints 1.25 .. 2.0 s, the final probe's
+   corrections (unchanged) at 2.5 s. *)
+let test_timeline_of_status_events () =
+  let times = [| 1.0; 1.25; 1.5; 1.75; 2.0; 2.5 |] in
+  let at vtime loc kind = { Trace.vtime; seq = 0; engine = "E"; loc; kind } in
+  let status k v ~changed =
+    at times.(k) (Trace.Node v)
+      (Trace.Status
+         { status = Fwd_walk.string_of_status (scripted k).(v); changed })
+  in
+  let ases = List.init (Array.length script) Fun.id in
+  let moved k =
+    List.filter (fun v -> script.(v).[k] <> script.(v).[k - 1]) ases
+  in
+  let events =
+    (at 1.0 Trace.Net (Trace.Phase "events-injected")
+    :: List.map (status 0 ~changed:false) ases)
+    @ List.concat_map
+        (fun k -> List.map (status k ~changed:true) (moved k))
+        [ 1; 2; 3; 4 ]
+    @ List.map (status 5 ~changed:false) (moved 5)
+    @ [ at 2.5 Trace.Net (Trace.Phase "final") ]
+  in
+  let tl = Timeline.of_events events in
+  Alcotest.(check int) "transient" 3 tl.Timeline.transient_count;
+  Alcotest.(check int) "broken" 3 tl.Timeline.broken_after;
+  Alcotest.(check (float 0.)) "recovery at checkpoint 3" 0.5
+    tl.Timeline.recovery_delay;
+  Alcotest.(check (option (float 0.))) "first loss at the baseline" (Some 1.0)
+    tl.Timeline.first_loss;
+  let named (asn, s, from_t, until_t) =
+    { Timeline.asn; status = Fwd_walk.string_of_status s; from_t; until_t }
+  in
+  Alcotest.(check bool) "windows" true
+    (List.map named (script_windows times ~until:2.5) = tl.Timeline.windows)
 
 let test_transient_none () =
   let sim = Sim.create () in
@@ -543,6 +624,8 @@ let () =
       ( "transient",
         [
           Alcotest.test_case "counting" `Quick test_transient_counting;
+          Alcotest.test_case "timeline of status events" `Quick
+            test_timeline_of_status_events;
           Alcotest.test_case "none" `Quick test_transient_none;
           Alcotest.test_case "event budget" `Quick test_transient_event_budget;
         ] );

@@ -18,18 +18,6 @@
 
 let vtx = Test_support.vtx
 
-(* Re-implements Runner's event application on the packed instance so the
-   matrix drives engines directly (no Transient monitor in the way). *)
-let rec inject inst sim = function
-  | Scenario.Fail_link (u, v) -> Engine.fail_link inst u v
-  | Scenario.Fail_node v -> Engine.fail_node inst v
-  | Scenario.Deny_export (u, v) -> Engine.deny_export inst u v
-  | Scenario.Recover_link (u, v) -> Engine.recover_link inst u v
-  | Scenario.Recover_node v -> Engine.recover_node inst v
-  | Scenario.Allow_export (u, v) -> Engine.allow_export inst u v
-  | Scenario.At (dt, e) ->
-    Sim.schedule sim ~delay:dt (fun _ -> inject inst sim e)
-
 (* Every scenario ends with the disturbance undone, so the converged state
    must deliver from every source again. *)
 let matrix t ~dest =
@@ -95,7 +83,7 @@ let test_lifecycle_matrix () =
           check_quiesced (label ^ " (initial)") sim;
           let initial = Counters.snapshot (Engine.counters inst) in
           check_counters (label ^ " (initial)") inst;
-          List.iter (inject inst sim) events;
+          List.iter (Runner.inject ~trace:Trace.null t inst sim) events;
           check_quiesced (label ^ " (after events)") sim;
           check_counters (label ^ " (after events)") inst;
           let final = Engine.counters inst in

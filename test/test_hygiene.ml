@@ -103,6 +103,26 @@ let rules =
       allowed = contains_fragment [ "analysis/transient.ml" ];
       why = "fold over Transient.watch instead of slicing Sim.run";
     };
+    (* The paper's per-AS count (troubled at the baseline or a checkpoint,
+       transient when delivered at the end, broken when not) is one fold
+       in Transient; the monitor and Timeline both drive it, so they agree
+       by construction. A second troubled set would drift from it. *)
+    {
+      name = "one outage rule in lib/";
+      patterns = [ "troubled"; "count_broken" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "analysis/transient.ml" ];
+      why = "fold statuses with Transient.observe";
+    };
+    (* Trace Status events name forwarding statuses; Fwd_walk owns the one
+       status<->string pair, so the writer and the reader agree. *)
+    {
+      name = "status names only in Fwd_walk";
+      patterns = [ "\"delivered\""; "\"looped\""; "\"blackholed\"" ];
+      dirs = [ "lib" ];
+      allowed = contains_fragment [ "engine/fwd_walk.ml" ];
+      why = "use Fwd_walk.string_of_status / status_of_string";
+    };
     (* Every best-route change goes through Process.decide, the one place
        that installs a new best route and reports it (trace event,
        forwarding dirty mark, convergence instant); an engine reporting

@@ -32,16 +32,6 @@ let test_registry_covered () =
 
 (* --- 1. cache equivalence -------------------------------------------- *)
 
-let rec inject inst sim = function
-  | Scenario.Fail_link (u, v) -> Engine.fail_link inst u v
-  | Scenario.Fail_node v -> Engine.fail_node inst v
-  | Scenario.Deny_export (u, v) -> Engine.deny_export inst u v
-  | Scenario.Recover_link (u, v) -> Engine.recover_link inst u v
-  | Scenario.Recover_node v -> Engine.recover_node inst v
-  | Scenario.Allow_export (u, v) -> Engine.allow_export inst u v
-  | Scenario.At (dt, e) ->
-    Sim.schedule sim ~delay:dt (fun _ -> inject inst sim e)
-
 (* Each scenario family, undone 40 s later where it has an inverse. *)
 let scenarios st topo =
   let undo (spec : Scenario.spec) =
@@ -108,7 +98,7 @@ let check_run tally engine topo (spec : Scenario.spec) ~detect_delay ~seed =
   let inst = Engine.create engine sim topo ~dest:spec.dest config in
   Engine.start inst;
   ignore (Sim.run_guarded ~max_events sim);
-  List.iter (inject inst sim) spec.events;
+  List.iter (Runner.inject ~trace:Trace.null topo inst sim) spec.events;
   let prev = ref [||] and prev_copy = ref [||] in
   let mismatch = ref None in
   let check () =

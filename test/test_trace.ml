@@ -493,7 +493,7 @@ let test_timeline_json_escaping () =
       [
         injected;
         at 1. (Trace.Node 7)
-          (Trace.Status { status = "loop\"ed"; changed = true });
+          (Trace.Status { status = "looped"; changed = true });
         at 2. Trace.Net (Trace.Phase "final");
       ]
   in
@@ -503,8 +503,13 @@ let test_timeline_json_escaping () =
     (Astring.String.is_infix ~affix:field (Trace.to_json injected));
   Alcotest.(check bool) "timeline writes the same field" true
     (Astring.String.is_infix ~affix:field j);
-  Alcotest.(check bool) "window status escaped" true
-    (Astring.String.is_infix ~affix:{|"status":"loop\"ed"|} j)
+  Alcotest.(check bool) "window status written" true
+    (Astring.String.is_infix ~affix:{|"status":"looped"|} j);
+  (* window statuses are decoded, so a name no status has is refused *)
+  let bad = Trace.Status { status = "loop\"ed"; changed = true } in
+  Alcotest.check_raises "unknown status"
+    (Invalid_argument {|Fwd_walk.status_of_string: "loop\"ed"|})
+    (fun () -> ignore (Timeline.of_events [ at 1. (Trace.Node 7) bad ]))
 
 (* --- golden traces ------------------------------------------------------- *)
 
